@@ -45,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryByValues$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendBatch$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDryRunChunked$$' -fuzztime $(FUZZTIME) ./internal/cube
+	$(GO) test -run '^$$' -fuzz '^FuzzNearestDistance$$' -fuzztime $(FUZZTIME) ./internal/geo
 
 build:
 	$(GO) build ./...

@@ -189,11 +189,36 @@ func TestExecBuildStageMetrics(t *testing.T) {
 		HAVING mean_loss(fare_amount, Sam_global) > 0.1`); err != nil {
 		t.Fatal(err)
 	}
-	for _, stage := range []string{"build_total", "global_sample", "dry_run", "real_run", "samgraph_join", "selection"} {
+	for _, stage := range []string{"build_total", "global_sample", "dry_run", "real_run", "samgraph_join", "samgraph_select", "materialize", "selection"} {
 		v, ok := reg.Value("tabula_build_stage_seconds", MetricLabel{Name: "stage", Value: stage})
 		if !ok || v < 1 {
 			t.Errorf("stage %q: %v observations (ok=%v), want >= 1", stage, v, ok)
 		}
+	}
+	// The join's work counts sit next to its wall time. The mean loss has
+	// no per-row costs; a heatmap cube does, and its cells share raw rows.
+	pairs, _ := reg.Value("tabula_samgraph_pairs_total")
+	if pairs < 1 {
+		t.Errorf("tabula_samgraph_pairs_total = %v after a build with sample selection", pairs)
+	}
+	if v, _ := reg.Value("tabula_samgraph_row_costs_total", MetricLabel{Name: "outcome", Value: "computed"}); v != 0 {
+		t.Errorf("mean-loss join computed %v row costs, want 0", v)
+	}
+	if _, err := db.Exec(context.Background(), `
+		CREATE TABLE heat_cube AS
+		SELECT payment_type, vendor_name, SAMPLING(*, 0.001) AS sample
+		FROM nyctaxi
+		GROUPBY CUBE(payment_type, vendor_name)
+		HAVING heatmap_loss(pickup, Sam_global) > 0.001`); err != nil {
+		t.Fatal(err)
+	}
+	for _, outcome := range []string{"computed", "reused"} {
+		if v, _ := reg.Value("tabula_samgraph_row_costs_total", MetricLabel{Name: "outcome", Value: outcome}); v < 1 {
+			t.Errorf("tabula_samgraph_row_costs_total{outcome=%q} = %v after a heatmap build", outcome, v)
+		}
+	}
+	if v, _ := reg.Value("tabula_samgraph_pairs_total"); v <= pairs {
+		t.Errorf("tabula_samgraph_pairs_total did not grow with the second build: %v -> %v", pairs, v)
 	}
 	// The cube registered by Exec exports its snapshot gauges too.
 	if v, ok := reg.Value("tabula_cube_version", MetricLabel{Name: "cube", Value: "ride_cube"}); !ok || v != 1 {

@@ -137,6 +137,12 @@ type Stats struct {
 	NumPersistedSamples int
 	SamGraphEdges       int
 	SamGraphPairsTested int64
+	// SamGraphRowCosts is how many per-row costs the join's pair tests
+	// summed and SamGraphRowCostsReused how many of those were remembered
+	// from an earlier target instead of recomputed (both 0 for losses
+	// without per-row costs).
+	SamGraphRowCosts       int64
+	SamGraphRowCostsReused int64
 
 	// Memory footprint breakdown in bytes (Figures 9 and 10b): the three
 	// physical components of Tabula.
@@ -443,8 +449,7 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 	// so query answers are identical at any shard count.
 	selStart := time.Now()
 	doneSelection := obs.StartStage(ctx, "selection")
-	cubeTable := make(map[uint64]int32, len(real.Cells))
-	var samples []*dataset.Table
+	var sel *samgraph.Result // nil: every cell persists its own sample
 	if p.SampleSelection && len(real.Cells) > 0 {
 		vertices := make([]samgraph.Vertex, len(real.Cells))
 		for i, c := range real.Cells {
@@ -463,12 +468,23 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 		if err != nil {
 			return nil, err
 		}
-		sel := samgraph.Select(graph)
+		doneSelect := obs.StartStage(ctx, "samgraph_select")
+		sel = samgraph.Select(graph)
 		if err := samgraph.Verify(graph, sel); err != nil {
 			return nil, fmt.Errorf("core: sample selection self-check failed: %w", err)
 		}
+		doneSelect()
 		sn.stats.SamGraphEdges = graph.NumEdges()
 		sn.stats.SamGraphPairsTested = graph.PairsTested
+		sn.stats.SamGraphRowCosts = graph.RowCosts
+		sn.stats.SamGraphRowCostsReused = graph.RowCostsReused
+	}
+	// The rest of the stage — copying the persisted samples, assigning
+	// cells, partitioning shards — is the tracer's "materialize".
+	doneMaterialize := obs.StartStage(ctx, "materialize")
+	cubeTable := make(map[uint64]int32, len(real.Cells))
+	var samples []*dataset.Table
+	if sel != nil {
 		repID := make(map[int]int32, len(sel.Representatives))
 		for _, v := range sel.Representatives {
 			id := int32(len(samples))
@@ -526,6 +542,7 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 		}
 		sh.cubeTable[k] = lid
 	}
+	doneMaterialize()
 	sn.stats.SelectionTime = time.Since(selStart)
 	doneSelection()
 	sn.stats.NumPersistedSamples = len(samples)

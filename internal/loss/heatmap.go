@@ -103,6 +103,14 @@ func (e *heatmapCellEvaluator) Add(st CellState, row int32) {
 	s.n++
 }
 
+// RowCost implements RowCoster.
+func (e *heatmapCellEvaluator) RowCost(row int32) float64 {
+	if e.empty {
+		return math.Inf(1)
+	}
+	return e.grid.NearestDistance(e.points[row])
+}
+
 func (e *heatmapCellEvaluator) Merge(dst, src CellState) {
 	d, s := dst.(*heatmapCellState), src.(*heatmapCellState)
 	d.sumMin += s.sumMin
@@ -192,26 +200,36 @@ type heatmapGreedy struct {
 	metric  geo.Metric
 	pts     []geo.Point
 	minDist []float64
-	sum     float64 // Σ minDist
-	maxMin  float64 // max over minDist (valid upper bound between Adds)
-	samN    int
-	idx     *pointIndex
+	// minSq is the Euclidean fast path (nil for the other metrics):
+	// minDist[j] == sqrt(minSq[j]). Square root is correctly rounded, hence
+	// monotone, so "closer" is decided on squares and the root is taken
+	// only for a point that improves.
+	minSq  []float64
+	sum    float64 // Σ minDist
+	maxMin float64 // max over minDist (valid upper bound between Adds)
+	samN   int
+	idx    *pointIndex
 	// radScale converts metric distances to coordinate search radii.
 	radScale float64
 }
 
 // pointIndex is a uniform grid over point INDEXES (geo.GridIndex stores
-// points only), supporting radius-bounded enumeration.
+// points only), supporting radius-bounded enumeration. Indexes are stored
+// sorted by cell (row-major, ascending within a cell) behind a CSR offset
+// table, with a copy of the points in the same order, so the cells of one
+// grid row that a search touches are one contiguous run of both.
 type pointIndex struct {
 	box          geo.BBox
 	nx, ny       int
 	cellW, cellH float64
-	cells        [][]int32
+	ids          []int32     // point indexes, sorted by cell
+	pts          []geo.Point // pts[k] is the point with index ids[k]
+	off          []int32     // cell c holds ids[off[c]:off[c+1]]
 }
 
 func newPointIndex(pts []geo.Point) *pointIndex {
 	if len(pts) == 0 {
-		return &pointIndex{nx: 1, ny: 1, cellW: 1, cellH: 1, cells: make([][]int32, 1)}
+		return &pointIndex{nx: 1, ny: 1, cellW: 1, cellH: 1, off: make([]int32, 2)}
 	}
 	g := &pointIndex{box: geo.NewBBox(pts)}
 	cellCount := float64(len(pts)) / 4
@@ -230,10 +248,15 @@ func newPointIndex(pts []geo.Point) *pointIndex {
 	g.ny = clampIdx(int(math.Ceil(math.Sqrt(cellCount/aspect))), 1, 2048)
 	g.cellW = w / float64(g.nx)
 	g.cellH = h / float64(g.ny)
-	g.cells = make([][]int32, g.nx*g.ny)
+	cellOf := make([]int32, len(pts))
 	for i, p := range pts {
-		c := g.cellOf(p)
-		g.cells[c] = append(g.cells[c], int32(i))
+		cx, cy := g.coords(p)
+		cellOf[i] = int32(cy*g.nx + cx)
+	}
+	g.ids, g.off = geo.CellOrder(cellOf, g.nx*g.ny)
+	g.pts = make([]geo.Point, len(pts))
+	for k, i := range g.ids {
+		g.pts[k] = pts[i]
 	}
 	return g
 }
@@ -254,26 +277,15 @@ func (g *pointIndex) coords(p geo.Point) (int, int) {
 	return cx, cy
 }
 
-func (g *pointIndex) cellOf(p geo.Point) int {
-	cx, cy := g.coords(p)
-	return cy*g.nx + cx
-}
-
-// visitWithin calls fn for every indexed point within (coordinate-space)
-// radius r of p; it may also visit slightly farther points (fn must
-// re-check distances).
-func (g *pointIndex) visitWithin(p geo.Point, r float64, fn func(i int32)) {
-	loX := clampIdx(int((p.X-r-g.box.Min.X)/g.cellW), 0, g.nx-1)
-	hiX := clampIdx(int((p.X+r-g.box.Min.X)/g.cellW), 0, g.nx-1)
-	loY := clampIdx(int((p.Y-r-g.box.Min.Y)/g.cellH), 0, g.ny-1)
-	hiY := clampIdx(int((p.Y+r-g.box.Min.Y)/g.cellH), 0, g.ny-1)
-	for cy := loY; cy <= hiY; cy++ {
-		for cx := loX; cx <= hiX; cx++ {
-			for _, i := range g.cells[cy*g.nx+cx] {
-				fn(i)
-			}
-		}
-	}
+// within returns the block of cells [loX,hiX]×[loY,hiY] covering every
+// indexed point within (coordinate-space) radius r of p; the block may
+// also hold slightly farther points (callers re-check distances).
+func (g *pointIndex) within(p geo.Point, r float64) (loX, hiX, loY, hiY int) {
+	loX = clampIdx(int((p.X-r-g.box.Min.X)/g.cellW), 0, g.nx-1)
+	hiX = clampIdx(int((p.X+r-g.box.Min.X)/g.cellW), 0, g.nx-1)
+	loY = clampIdx(int((p.Y-r-g.box.Min.Y)/g.cellH), 0, g.ny-1)
+	hiY = clampIdx(int((p.Y+r-g.box.Min.Y)/g.cellH), 0, g.ny-1)
+	return
 }
 
 // coordScale returns the factor converting a metric distance bound into
@@ -309,6 +321,9 @@ func (h *Heatmap) NewGreedy(raw dataset.View) (GreedyEvaluator, error) {
 	for i := range g.minDist {
 		g.minDist[i] = math.Inf(1)
 	}
+	if h.Metric == geo.Euclidean {
+		g.minSq = append([]float64(nil), g.minDist...)
+	}
 	g.sum = math.Inf(1)
 	g.maxMin = math.Inf(1)
 	g.idx = newPointIndex(g.pts)
@@ -328,6 +343,7 @@ func (g *heatmapGreedy) CurrentLoss() float64 {
 	return g.sum / float64(len(g.pts))
 }
 
+//lint:hot LossWith is the greedy sampler's probe: once per candidate per round.
 func (g *heatmapGreedy) LossWith(i int) float64 {
 	if len(g.pts) == 0 {
 		return 0
@@ -336,6 +352,14 @@ func (g *heatmapGreedy) LossWith(i int) float64 {
 	if g.samN == 0 || math.IsInf(g.maxMin, 1) || math.IsInf(g.radScale, 1) {
 		// First round: everything can improve; full scan.
 		var sum float64
+		if g.samN == 0 && g.minSq != nil {
+			// Nothing sampled yet, so every minDist is +Inf.
+			for _, p := range g.pts {
+				dx, dy := p.X-c.X, p.Y-c.Y
+				sum += math.Sqrt(dx*dx + dy*dy)
+			}
+			return sum / float64(len(g.pts))
+		}
 		for j, p := range g.pts {
 			d := geo.Distance(g.metric, p, c)
 			if m := g.minDist[j]; m < d {
@@ -346,27 +370,64 @@ func (g *heatmapGreedy) LossWith(i int) float64 {
 		return sum / float64(len(g.pts))
 	}
 	// Later rounds: only points within maxMin of the candidate can
-	// improve; compute the exact reduction over that neighbourhood.
+	// improve; compute the exact reduction over that neighbourhood, cell
+	// row by cell row (the visiting order fixes the float sum).
+	idx := g.idx
+	loX, hiX, loY, hiY := idx.within(c, g.maxMin*g.radScale)
 	var reduction float64
-	g.idx.visitWithin(c, g.maxMin*g.radScale, func(j int32) {
-		if d := geo.Distance(g.metric, g.pts[j], c); d < g.minDist[j] {
-			reduction += g.minDist[j] - d
+	for cy := loY; cy <= hiY; cy++ {
+		lo, hi := idx.off[cy*idx.nx+loX], idx.off[cy*idx.nx+hiX+1]
+		ids, pts := idx.ids[lo:hi], idx.pts[lo:hi]
+		switch g.metric {
+		case geo.Euclidean:
+			for k, p := range pts {
+				dx, dy := p.X-c.X, p.Y-c.Y
+				dsq := dx*dx + dy*dy
+				if j := ids[k]; dsq < g.minSq[j] {
+					// A tie after rounding adds an exact zero.
+					reduction += g.minDist[j] - math.Sqrt(dsq)
+				}
+			}
+		case geo.Manhattan:
+			for k, p := range pts {
+				d := math.Abs(p.X-c.X) + math.Abs(p.Y-c.Y)
+				if j := ids[k]; d < g.minDist[j] {
+					reduction += g.minDist[j] - d
+				}
+			}
+		default:
+			for k, p := range pts {
+				if j, d := ids[k], geo.Distance(g.metric, p, c); d < g.minDist[j] {
+					reduction += g.minDist[j] - d
+				}
+			}
 		}
-	})
+	}
 	return (g.sum - reduction) / float64(len(g.pts))
 }
 
+//lint:hot Add rescans every raw tuple once per committed sample tuple.
 func (g *heatmapGreedy) Add(i int) {
 	c := g.pts[i]
-	var sum, max float64
-	for j, p := range g.pts {
-		d := geo.Distance(g.metric, p, c)
-		if d < g.minDist[j] {
-			g.minDist[j] = d
+	if g.minSq != nil {
+		for j, p := range g.pts {
+			dx, dy := p.X-c.X, p.Y-c.Y
+			if dsq := dx*dx + dy*dy; dsq < g.minSq[j] {
+				g.minSq[j], g.minDist[j] = dsq, math.Sqrt(dsq)
+			}
 		}
-		sum += g.minDist[j]
-		if g.minDist[j] > max {
-			max = g.minDist[j]
+	} else {
+		for j, p := range g.pts {
+			if d := geo.Distance(g.metric, p, c); d < g.minDist[j] {
+				g.minDist[j] = d
+			}
+		}
+	}
+	var sum, max float64
+	for _, m := range g.minDist {
+		sum += m
+		if m > max {
+			max = m
 		}
 	}
 	g.sum = sum

@@ -107,6 +107,14 @@ func (e *histCellEvaluator) Add(st CellState, row int32) {
 	s.n++
 }
 
+// RowCost implements RowCoster.
+func (e *histCellEvaluator) RowCost(row int32) float64 {
+	if len(e.sam) == 0 {
+		return math.Inf(1)
+	}
+	return nearest1D(e.sam, e.vals[row])
+}
+
 func (e *histCellEvaluator) Merge(dst, src CellState) {
 	d, s := dst.(*heatmapCellState), src.(*heatmapCellState)
 	d.sumMin += s.sumMin

@@ -161,43 +161,18 @@ func resolvePoint(s dataset.Schema, name string) (int, error) {
 	return idx, nil
 }
 
-// ExceedsThreshold reports whether loss(rows, boundSample) > theta for an
-// evaluator returned by DryRunner.BindSample, aborting the row fold early
-// when the verdict is already provable. For the average-minimum-distance
-// evaluators (heatmap, histogram) the accumulated distance sum can only
-// grow, so once it passes theta·len(rows) the cell is certainly not
-// representable; other losses fall back to the full fold. The SamGraph
-// similarity join calls this once per candidate pair, making the
-// early-abort the difference between a quadratic-in-rows join and a
-// practical one.
-func ExceedsThreshold(ev CellEvaluator, rows []int32, theta float64) bool {
-	budget := theta * float64(len(rows))
-	switch e := ev.(type) {
-	case *heatmapCellEvaluator:
-		st := &heatmapCellState{}
-		for _, row := range rows {
-			e.Add(st, row)
-			if st.sumMin > budget {
-				return true
-			}
-		}
-		return e.Loss(st) > theta
-	case *histCellEvaluator:
-		st := &heatmapCellState{}
-		for _, row := range rows {
-			e.Add(st, row)
-			if st.sumMin > budget {
-				return true
-			}
-		}
-		return e.Loss(st) > theta
-	default:
-		st := ev.NewState()
-		for _, row := range rows {
-			ev.Add(st, row)
-		}
-		return ev.Loss(st) > theta
-	}
+// RowCoster is the capability of bound evaluators whose loss is the mean
+// of non-negative per-row costs: for any state st folded from rows,
+// Loss(st) equals (Σ RowCost(row)) / len(rows), the sum taken in Add order
+// (and 0 for no rows). The average-minimum-distance evaluators (heatmap,
+// histogram) have it — a row's cost is its distance to the nearest tuple
+// of the bound sample, +Inf when the sample is empty. Because costs never
+// go negative, the cost of any subset of a cell's rows is a lower bound on
+// the cell's distance sum; the SamGraph join uses that to reject a
+// candidate pair from a prefix of the rows instead of the whole cell.
+type RowCoster interface {
+	CellEvaluator
+	RowCost(row int32) float64
 }
 
 // MergeSafe is implemented by losses for which per-cell sample guarantees
@@ -228,4 +203,7 @@ var (
 	_ ChunkEvaluator = (*histCellEvaluator)(nil)
 	_ ChunkEvaluator = (*regCellEvaluator)(nil)
 	_ ChunkEvaluator = (*distinctCellEvaluator)(nil)
+
+	_ RowCoster = (*heatmapCellEvaluator)(nil)
+	_ RowCoster = (*histCellEvaluator)(nil)
 )

@@ -191,8 +191,14 @@ func TestStageTracer(t *testing.T) {
 	if NewStages(nil) != nil {
 		t.Fatal("NewStages(nil) should be a nil tracer")
 	}
+	st.Count("tabula_stage_work_total", "work", 3, Label{Name: "outcome", Value: "a"})
+	st.Count("tabula_stage_work_total", "work", 4, Label{Name: "outcome", Value: "a"})
+	if v, ok := r.Value("tabula_stage_work_total", Label{Name: "outcome", Value: "a"}); !ok || v != 7 {
+		t.Fatalf("stage counter = %v, %v (want 7)", v, ok)
+	}
 	var nilStages *Stages
 	nilStages.Observe("x", time.Second) // must not panic
+	nilStages.Count("x", "x", 1)
 	if got := WithStages(context.Background(), nil); got != context.Background() {
 		t.Fatal("WithStages(nil) should return ctx unchanged")
 	}

@@ -50,6 +50,16 @@ func (s *Stages) Observe(stage string, d time.Duration) {
 	h.Observe(d.Seconds())
 }
 
+// Count adds n to a counter series in the tracer's registry: the work a
+// stage did (pairs tested, costs reused), exposed next to its wall time so
+// a slow stage can be told apart from a stage that had more to do.
+func (s *Stages) Count(name, help string, n int64, labels ...Label) {
+	if s == nil {
+		return
+	}
+	s.reg.Counter(name, help, labels...).Add(uint64(n))
+}
+
 type stagesKey struct{}
 
 // WithStages installs the tracer into ctx (returns ctx unchanged for a

@@ -1,0 +1,254 @@
+package samgraph
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"github.com/tabula-db/tabula/internal/dataset"
+	"github.com/tabula-db/tabula/internal/geo"
+	"github.com/tabula-db/tabula/internal/loss"
+)
+
+// geoTable builds a table with a POINT column "p" and a numeric column "v"
+// in one of several awkward shapes, plus overlapping vertices over it —
+// cells of different cuboids share raw rows, which is what the join's cost
+// memo feeds on. Samples are subsets of their vertex's rows of size 0
+// (empty), 1 or a few.
+func geoTable(r *rand.Rand, shape string, nRows, nVertices int) (*dataset.Table, []Vertex) {
+	tbl := dataset.NewTable(dataset.Schema{{Name: "p", Type: dataset.Point}, {Name: "v", Type: dataset.Float64}})
+	for i := 0; i < nRows; i++ {
+		var x, y, v float64
+		switch shape {
+		case "clustered":
+			c := float64(r.Intn(4))
+			x, y = 20+c*0.2+r.NormFloat64()*0.01, 50+c*0.1+r.NormFloat64()*0.01
+			v = c*10 + r.Float64()
+		case "duplicates":
+			x, y = 20+float64(r.Intn(5))*0.05, 50+float64(r.Intn(5))*0.05
+			v = float64(r.Intn(6))
+		case "all-equal":
+			x, y, v = 20.5, 50.5, 7
+		default: // uniform
+			x, y = 20+r.Float64(), 50+r.Float64()
+			v = r.Float64() * 40
+		}
+		tbl.MustAppendRow(dataset.PointValue(geo.Point{X: x, Y: y}), dataset.FloatValue(v))
+	}
+	vertices := make([]Vertex, nVertices)
+	for i := range vertices {
+		// A contiguous-ish stride of rows, so neighbours overlap heavily.
+		size := 1 + r.Intn(nRows/2)
+		start := r.Intn(nRows)
+		step := 1 + r.Intn(3)
+		seen := make(map[int32]bool)
+		for k := 0; k < size; k++ {
+			row := int32((start + k*step) % nRows)
+			if !seen[row] {
+				seen[row] = true
+				vertices[i].Rows = append(vertices[i].Rows, row)
+			}
+		}
+		sort.Slice(vertices[i].Rows, func(a, b int) bool { return vertices[i].Rows[a] < vertices[i].Rows[b] })
+		var k int
+		switch r.Intn(5) {
+		case 0:
+			k = 0 // empty-sample vertex
+		case 1:
+			k = 1
+		default:
+			k = 1 + r.Intn(6)
+		}
+		for _, j := range r.Perm(len(vertices[i].Rows)) {
+			if len(vertices[i].SampleRows) == k {
+				break
+			}
+			vertices[i].SampleRows = append(vertices[i].SampleRows, vertices[i].Rows[j])
+		}
+	}
+	return tbl, vertices
+}
+
+// lossMatrix evaluates the definition, loss(u.Rows, v.SampleRows), for every
+// ordered pair straight from the raw rows.
+func lossMatrix(tbl *dataset.Table, vertices []Vertex, f loss.Func) [][]float64 {
+	m := make([][]float64, len(vertices))
+	for v := range vertices {
+		m[v] = make([]float64, len(vertices))
+		sam := dataset.NewView(tbl, vertices[v].SampleRows)
+		for u := range vertices {
+			m[v][u] = f.Loss(dataset.NewView(tbl, vertices[u].Rows), sam)
+		}
+	}
+	return m
+}
+
+// splitTheta picks a threshold strictly between two distinct loss values
+// near the q-quantile of the off-diagonal losses, so some pairs are edges,
+// some are not, and none sits on the threshold itself.
+func splitTheta(m [][]float64, q float64) float64 {
+	var vals []float64
+	for v := range m {
+		for u, l := range m[v] {
+			if u != v && !math.IsInf(l, 0) {
+				vals = append(vals, l)
+			}
+		}
+	}
+	sort.Float64s(vals)
+	if len(vals) == 0 {
+		return 1
+	}
+	for i := int(q * float64(len(vals)-1)); i+1 < len(vals); i++ {
+		if vals[i+1] > vals[i] {
+			return (vals[i] + vals[i+1]) / 2
+		}
+	}
+	return vals[len(vals)-1] + 1
+}
+
+// wantGraph derives the expected join output from the loss matrix alone:
+// the MaxCandidates admission rule applied to the candidate order, and an
+// edge wherever the definition says loss ≤ theta.
+func wantGraph(vertices []Vertex, m [][]float64, theta float64, maxCand int) ([][]int, int64) {
+	n := len(vertices)
+	out := make([][]int, n)
+	for v := range out {
+		out[v] = []int{v}
+	}
+	var pairs int64
+	order := buildOrder(vertices)
+	for u := 0; u < n; u++ {
+		tested := 0
+		for _, v := range order {
+			if v == u || (maxCand > 0 && tested >= maxCand) {
+				continue
+			}
+			tested++
+			pairs++
+			if m[v][u] <= theta {
+				out[v] = append(out[v], u)
+			}
+		}
+	}
+	for v := range out {
+		sort.Ints(out[v])
+	}
+	return out, pairs
+}
+
+// The join must produce exactly the edges the loss definition gives on the
+// raw rows — for every loss with per-row costs, on degenerate data, at any
+// candidate cap and worker count — and reusing a candidate's row costs
+// across targets must not change how many pairs it reports testing.
+func TestRowCostJoinMatchesLossDefinition(t *testing.T) {
+	losses := map[string]loss.Func{
+		"heatmap-euclidean": loss.NewHeatmap("p", geo.Euclidean),
+		"heatmap-manhattan": loss.NewHeatmap("p", geo.Manhattan),
+		"heatmap-haversine": loss.NewHeatmap("p", geo.Haversine),
+		"histogram":         loss.NewHistogram("v"),
+	}
+	r := rand.New(rand.NewSource(13))
+	for _, shape := range []string{"uniform", "clustered", "duplicates", "all-equal"} {
+		tbl, vertices := geoTable(r, shape, 120+r.Intn(200), 14+r.Intn(10))
+		for name, f := range losses {
+			m := lossMatrix(tbl, vertices, f)
+			var reused int64
+			for _, q := range []float64{0.1, 0.5, 0.9} {
+				theta := splitTheta(m, q)
+				for _, maxCand := range []int{0, 3} {
+					wantOut, wantPairs := wantGraph(vertices, m, theta, maxCand)
+					var first *Graph
+					for _, workers := range []int{1, 4} {
+						label := fmt.Sprintf("%s/%s theta=%g cap=%d workers=%d", shape, name, theta, maxCand, workers)
+						g, err := Build(context.Background(), tbl, vertices, f, theta, BuildOptions{MaxCandidates: maxCand, Workers: workers})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if g.PairsTested != wantPairs {
+							t.Fatalf("%s: PairsTested = %d, want %d", label, g.PairsTested, wantPairs)
+						}
+						for v := range wantOut {
+							if !reflect.DeepEqual(g.Out[v], wantOut[v]) {
+								t.Fatalf("%s: Out[%d] = %v, loss definition gives %v", label, v, g.Out[v], wantOut[v])
+							}
+						}
+						if g.RowCosts <= 0 || g.RowCostsReused < 0 || g.RowCostsReused > g.RowCosts {
+							t.Fatalf("%s: RowCosts = %d, RowCostsReused = %d", label, g.RowCosts, g.RowCostsReused)
+						}
+						if first == nil {
+							first = g
+						} else if g.RowCosts != first.RowCosts || g.RowCostsReused != first.RowCostsReused {
+							t.Fatalf("%s: cost counters %d/%d differ from workers=1's %d/%d", label,
+								g.RowCosts, g.RowCostsReused, first.RowCosts, first.RowCostsReused)
+						}
+						reused += g.RowCostsReused
+					}
+				}
+			}
+			if reused == 0 {
+				t.Fatalf("%s/%s: overlapping vertices never reused a row cost", shape, name)
+			}
+		}
+	}
+}
+
+// Rows whose ids collide in the memo (equal modulo its size) evict each
+// other; that may only cost a recomputation, never a wrong sum.
+func TestRowCostMemoCollisions(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	tbl := dataset.NewTable(dataset.Schema{{Name: "p", Type: dataset.Point}})
+	n := memoSlots + 400
+	for i := 0; i < n; i++ {
+		tbl.MustAppendRow(dataset.PointValue(geo.Point{X: r.Float64(), Y: r.Float64()}))
+	}
+	vertices := make([]Vertex, 6)
+	for i := range vertices {
+		for k := 0; k < 150; k++ {
+			low := int32(r.Intn(400))
+			vertices[i].Rows = append(vertices[i].Rows, low, low+memoSlots)
+		}
+		vertices[i].SampleRows = vertices[i].Rows[:4+i]
+	}
+	f := loss.NewHeatmap("p", geo.Euclidean)
+	m := lossMatrix(tbl, vertices, f)
+	theta := splitTheta(m, 0.5)
+	wantOut, wantPairs := wantGraph(vertices, m, theta, 0)
+	g, err := Build(context.Background(), tbl, vertices, f, theta, BuildOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.PairsTested != wantPairs || !reflect.DeepEqual(g.Out, wantOut) {
+		t.Fatalf("graph with colliding rows = %v (%d pairs), loss definition gives %v (%d pairs)", g.Out, g.PairsTested, wantOut, wantPairs)
+	}
+}
+
+// BenchmarkSamGraphJoinHeatmap runs the exhaustive heatmap join on the
+// shape the repository benchmark builds (many small overlapping cells,
+// samples of a few dozen tuples), at reduced size.
+func BenchmarkSamGraphJoinHeatmap(b *testing.B) {
+	r := rand.New(rand.NewSource(41))
+	tbl, vertices := geoTable(r, "clustered", 12000, 300)
+	for i := range vertices {
+		if len(vertices[i].Rows) > 600 {
+			vertices[i].Rows = vertices[i].Rows[:600]
+			vertices[i].SampleRows = vertices[i].Rows[:1+i%40]
+		}
+	}
+	f := loss.NewHeatmap("p", geo.Euclidean)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := Build(context.Background(), tbl, vertices, f, 0.002, BuildOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(g.PairsTested), "pairs")
+			b.ReportMetric(float64(g.RowCostsReused)/float64(g.RowCosts), "reuse-ratio")
+		}
+	}
+}

@@ -36,6 +36,12 @@ type Graph struct {
 	// PairsTested counts representation tests performed during the join
 	// (the similarity-join cost the paper discusses).
 	PairsTested int64
+	// RowCosts counts the per-row costs the pair tests summed, for losses
+	// whose bound evaluators are loss.RowCosters (0 otherwise), and
+	// RowCostsReused how many of them a candidate had already computed for
+	// an earlier target sharing the row.
+	RowCosts       int64
+	RowCostsReused int64
 }
 
 // NumVertices returns the vertex count.
@@ -90,6 +96,79 @@ func buildOrder(vertices []Vertex) []int {
 	return order
 }
 
+// costMemo is one join worker's pair test for a loss.RowCoster: it folds
+// a target's rows into the mean row cost under the current candidate's
+// sample, remembering each cost so the next target holding the same raw
+// row gets it back instead of asking the evaluator again. Cells of
+// different cuboids overlap — a raw row sits in one cell of every
+// cuboid — so a candidate meets most rows several times.
+//
+// The memo is a direct-mapped table of fixed size keyed by (candidate,
+// row): binding the next candidate changes the tag and thereby empties
+// it, a slot collision just recomputes, and memory stays bounded whatever
+// the table size. A remembered cost is the evaluator's own float64, so
+// sums are bit-identical with or without it.
+type costMemo struct {
+	rc    loss.RowCoster
+	tag   uint64 // (candidate rank + 1) << 32: never matches a zero slot
+	slots []memoSlot
+	// Lookups and evaluator calls since creation.
+	costs, computed int64
+}
+
+type memoSlot struct {
+	key  uint64 // tag | row
+	cost float64
+}
+
+// memoSlots is the memo size (a power of two, 1 MiB of slots): far above
+// the few thousand distinct rows a candidate touches before its pairs are
+// rejected, small enough to stay cache-resident.
+const memoSlots = 1 << 16
+
+func newCostMemo() *costMemo { return &costMemo{slots: make([]memoSlot, memoSlots)} }
+
+// bind points the memo at the evaluator of the candidate with the given
+// rank, forgetting the previous candidate's costs.
+func (m *costMemo) bind(rc loss.RowCoster, rank int64) {
+	m.rc, m.tag = rc, uint64(rank+1)<<32
+}
+
+// exceeds reports whether the mean cost of rows is above theta. Costs are
+// summed in row order, exactly as folding the rows through Add and asking
+// Loss would; because they are non-negative the sum only grows, so the
+// fold stops at the first prefix past theta·len(rows).
+//
+//lint:hot exceeds runs once per candidate pair; its loop once per row probed.
+func (m *costMemo) exceeds(rows []int32, theta float64) bool {
+	budget := theta * float64(len(rows))
+	var sum float64
+	for i, row := range rows {
+		slot := &m.slots[uint32(row)&(memoSlots-1)]
+		if key := m.tag | uint64(uint32(row)); slot.key != key {
+			slot.key, slot.cost = key, m.rc.RowCost(row)
+			m.computed++
+		}
+		sum += slot.cost
+		if sum > budget {
+			m.costs += int64(i + 1)
+			return true
+		}
+	}
+	m.costs += int64(len(rows))
+	return len(rows) > 0 && sum/float64(len(rows)) > theta
+}
+
+// lossExceeds reports whether loss(rows, ev's bound sample) > theta by
+// folding the rows through the evaluator.
+func lossExceeds(ev loss.CellEvaluator, rows []int32, theta float64) bool {
+	st := ev.NewState()
+	for _, row := range rows {
+		ev.Add(st, row)
+	}
+	return ev.Loss(st) > theta
+}
+
 // Build constructs the SamGraph over the given vertices: a similarity
 // self-join of the cube table with the predicate
 // loss(t1.cellrawdata, t2.sample) ≤ theta. Losses that implement
@@ -98,10 +177,16 @@ func buildOrder(vertices []Vertex) []int {
 // the heatmap loss builds one nearest-neighbour grid per candidate, not
 // per pair); others fall back to direct Loss calls.
 //
+// When the bound evaluator is a loss.RowCoster (heatmap, histogram) the
+// loss is a mean of non-negative row costs: a pair is rejected as soon as
+// a partial sum passes theta·|rows|, and each worker remembers the current
+// candidate's row costs across targets (costMemo). Neither changes a sum,
+// so the edges are those of the plain fold.
+//
 // The outer candidate loop is sharded across opts.Workers goroutines.
 // Candidate vertices are independent — each binds its own evaluator and
 // writes only its own adjacency list — so the output graph (edges and
-// PairsTested alike) is byte-identical to a sequential join at any
+// pair counts alike) is byte-identical to a sequential join at any
 // worker count (pinned by TestParallelBuildMatchesSequential). ctx
 // cancellation aborts the join with ctx.Err().
 func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Func, theta float64, opts BuildOptions) (*Graph, error) {
@@ -154,6 +239,8 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 		wg          sync.WaitGroup
 		nextIdx     atomic.Int64
 		pairsTested atomic.Int64
+		rowCosts    atomic.Int64
+		rowComputed atomic.Int64
 		stop        atomic.Bool
 	)
 	errs := make([]error, workers)
@@ -161,8 +248,17 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var pairs int64
-			defer func() { pairsTested.Add(pairs) }()
+			var (
+				pairs int64
+				memo  *costMemo // created on the first RowCoster candidate
+			)
+			defer func() {
+				pairsTested.Add(pairs)
+				if memo != nil {
+					rowCosts.Add(memo.costs)
+					rowComputed.Add(memo.computed)
+				}
+			}()
 			for {
 				i := nextIdx.Add(1) - 1
 				if i >= int64(n) || stop.Load() {
@@ -175,7 +271,10 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 				}
 				v := order[i]
 				samView := dataset.NewView(tbl, vertices[v].SampleRows)
-				var ev loss.CellEvaluator
+				var (
+					ev      loss.CellEvaluator
+					byCosts bool
+				)
 				if algebraic {
 					var err error
 					ev, err = dr.BindSample(tbl, samView)
@@ -183,6 +282,13 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 						errs[w] = fmt.Errorf("samgraph: binding candidate %d: %w", v, err)
 						stop.Store(true)
 						return
+					}
+					var rc loss.RowCoster
+					if rc, byCosts = ev.(loss.RowCoster); byCosts {
+						if memo == nil {
+							memo = newCostMemo()
+						}
+						memo.bind(rc, i)
 					}
 				}
 				out := g.Out[v]
@@ -198,11 +304,15 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 						}
 					}
 					pairs++
+					rows := vertices[u].Rows
 					var exceeds bool
-					if algebraic {
-						exceeds = loss.ExceedsThreshold(ev, vertices[u].Rows, theta)
-					} else {
-						exceeds = f.Loss(dataset.NewView(tbl, vertices[u].Rows), samView) > theta
+					switch {
+					case byCosts:
+						exceeds = memo.exceeds(rows, theta)
+					case algebraic:
+						exceeds = lossExceeds(ev, rows, theta)
+					default:
+						exceeds = f.Loss(dataset.NewView(tbl, rows), samView) > theta
 					}
 					if !exceeds {
 						out = append(out, u)
@@ -223,56 +333,13 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 		}
 	}
 	g.PairsTested = pairsTested.Load()
-	return g, nil
-}
-
-// buildSequential is the retained single-threaded reference join. It is
-// the ground truth the parallel Build is equivalence-tested against and
-// the Workers=1 baseline of BenchmarkAblationParallelSamGraph.
-func buildSequential(tbl *dataset.Table, vertices []Vertex, f loss.Func, theta float64, opts BuildOptions) (*Graph, error) {
-	n := len(vertices)
-	g := &Graph{Out: make([][]int, n)}
-	for v := range g.Out {
-		g.Out[v] = []int{v}
-	}
-	if n <= 1 {
-		return g, nil
-	}
-	order := buildOrder(vertices)
-	// testedFor[u] counts candidates tried for vertex u.
-	testedFor := make([]int, n)
-	dr, algebraic := f.(loss.DryRunner)
-	for _, v := range order {
-		samView := dataset.NewView(tbl, vertices[v].SampleRows)
-		var ev loss.CellEvaluator
-		if algebraic {
-			var err error
-			ev, err = dr.BindSample(tbl, samView)
-			if err != nil {
-				return nil, fmt.Errorf("samgraph: binding candidate %d: %w", v, err)
-			}
-		}
-		for u := range vertices {
-			if u == v {
-				continue
-			}
-			if opts.MaxCandidates > 0 && testedFor[u] >= opts.MaxCandidates {
-				continue
-			}
-			testedFor[u]++
-			g.PairsTested++
-			var exceeds bool
-			if algebraic {
-				exceeds = loss.ExceedsThreshold(ev, vertices[u].Rows, theta)
-			} else {
-				exceeds = f.Loss(dataset.NewView(tbl, vertices[u].Rows), samView) > theta
-			}
-			if !exceeds {
-				g.Out[v] = append(g.Out[v], u)
-			}
-		}
-		sort.Ints(g.Out[v])
-	}
+	g.RowCosts = rowCosts.Load()
+	g.RowCostsReused = g.RowCosts - rowComputed.Load()
+	st := obs.StagesFrom(ctx)
+	st.Count("tabula_samgraph_pairs_total", "SamGraph join representation tests performed.", g.PairsTested)
+	const costsHelp = "Row costs summed by SamGraph pair tests: computed by the loss evaluator, or reused from an earlier target of the same candidate."
+	st.Count("tabula_samgraph_row_costs_total", costsHelp, g.RowCosts-g.RowCostsReused, obs.Label{Name: "outcome", Value: "computed"})
+	st.Count("tabula_samgraph_row_costs_total", costsHelp, g.RowCostsReused, obs.Label{Name: "outcome", Value: "reused"})
 	return g, nil
 }
 
@@ -327,9 +394,9 @@ func (h *degHeap) Pop() any {
 // upper bounds (live degrees only shrink), so a popped entry whose
 // stored degree still matches its recomputed live degree is a true
 // maximum; stale entries are pushed back with the fresh degree. That
-// replaces the old O(n²·deg) recompute-on-pop scan while selecting the
-// exact same representatives (ties break towards the smaller vertex id
-// in both, pinned by TestSelectHeapMatchesLinear).
+// replaces an O(n²·deg) recompute-on-pop scan while selecting the exact
+// same representatives (ties break towards the smaller vertex id in
+// both; TestSelectHeapMatchesLinear keeps the scan as its oracle).
 func Select(g *Graph) *Result {
 	n := g.NumVertices()
 	res := &Result{AssignedTo: make([]int, n)}
@@ -374,59 +441,6 @@ func Select(g *Graph) *Result {
 			continue
 		}
 		best := e.v
-		res.Representatives = append(res.Representatives, best)
-		for _, u := range g.Out[best] {
-			if remaining[u] {
-				remaining[u] = false
-				alive--
-				res.AssignedTo[u] = best
-			}
-		}
-	}
-	return res
-}
-
-// selectLinear is the retained recompute-on-pop reference of Algorithm 3
-// (the pre-heap implementation): scan all remaining vertices, pick the
-// first with the strictly greatest live degree. Kept as the oracle for
-// TestSelectHeapMatchesLinear.
-func selectLinear(g *Graph) *Result {
-	n := g.NumVertices()
-	res := &Result{AssignedTo: make([]int, n)}
-	for i := range res.AssignedTo {
-		res.AssignedTo[i] = -1
-	}
-	remaining := make([]bool, n)
-	alive := n
-	for i := range remaining {
-		remaining[i] = true
-	}
-	liveDegree := func(v int) int {
-		d := 0
-		for _, u := range g.Out[v] {
-			if remaining[u] {
-				d++
-			}
-		}
-		return d
-	}
-	candidates := make([]int, n)
-	for i := range candidates {
-		candidates[i] = i
-	}
-	for alive > 0 {
-		best, bestDeg := -1, -1
-		for _, v := range candidates {
-			if !remaining[v] {
-				continue
-			}
-			if d := liveDegree(v); d > bestDeg {
-				best, bestDeg = v, d
-			}
-		}
-		if best < 0 {
-			panic("samgraph: no candidate with live degree")
-		}
 		res.Representatives = append(res.Representatives, best)
 		for _, u := range g.Out[best] {
 			if remaining[u] {

@@ -70,6 +70,7 @@ for family in \
 	tabula_db_queries_total \
 	tabula_respcache_hits_total \
 	tabula_build_stage_seconds \
+	tabula_samgraph_pairs_total \
 	tabula_cube_version; do
 	if ! grep -q "^${family}" "${TMP}/metrics.txt"; then
 		echo "metrics-smoke: exposition is missing ${family}" >&2
