@@ -189,17 +189,24 @@ func TestExecBuildStageMetrics(t *testing.T) {
 		HAVING mean_loss(fare_amount, Sam_global) > 0.1`); err != nil {
 		t.Fatal(err)
 	}
-	for _, stage := range []string{"build_total", "global_sample", "dry_run", "real_run", "samgraph_join", "samgraph_select", "materialize", "selection"} {
+	for _, stage := range []string{"build_total", "global_sample", "dry_run", "real_run", "samgraph_join", "samgraph_summaries", "samgraph_select", "materialize", "selection"} {
 		v, ok := reg.Value("tabula_build_stage_seconds", MetricLabel{Name: "stage", Value: stage})
 		if !ok || v < 1 {
 			t.Errorf("stage %q: %v observations (ok=%v), want >= 1", stage, v, ok)
 		}
 	}
-	// The join's work counts sit next to its wall time. The mean loss has
-	// no per-row costs; a heatmap cube does, and its cells share raw rows.
+	// The join's work counts sit next to its wall time, and say which pair
+	// test answered. The mean loss folds every iceberg cell once into a raw
+	// summary and has no per-row costs; a heatmap cube is the other way
+	// round, and its cells share raw rows.
 	pairs, _ := reg.Value("tabula_samgraph_pairs_total")
 	if pairs < 1 {
 		t.Errorf("tabula_samgraph_pairs_total = %v after a build with sample selection", pairs)
+	}
+	iceberg, _ := reg.Value("tabula_cube_iceberg_cells", MetricLabel{Name: "cube", Value: "ride_cube"})
+	summaries, _ := reg.Value("tabula_samgraph_summaries_total")
+	if summaries < 2 || summaries != iceberg {
+		t.Errorf("tabula_samgraph_summaries_total = %v after a mean-loss build with %v iceberg cells", summaries, iceberg)
 	}
 	if v, _ := reg.Value("tabula_samgraph_row_costs_total", MetricLabel{Name: "outcome", Value: "computed"}); v != 0 {
 		t.Errorf("mean-loss join computed %v row costs, want 0", v)
@@ -216,6 +223,9 @@ func TestExecBuildStageMetrics(t *testing.T) {
 		if v, _ := reg.Value("tabula_samgraph_row_costs_total", MetricLabel{Name: "outcome", Value: outcome}); v < 1 {
 			t.Errorf("tabula_samgraph_row_costs_total{outcome=%q} = %v after a heatmap build", outcome, v)
 		}
+	}
+	if v, _ := reg.Value("tabula_samgraph_summaries_total"); v != summaries {
+		t.Errorf("heatmap join folded %v raw summaries, want 0", v-summaries)
 	}
 	if v, _ := reg.Value("tabula_samgraph_pairs_total"); v <= pairs {
 		t.Errorf("tabula_samgraph_pairs_total did not grow with the second build: %v -> %v", pairs, v)

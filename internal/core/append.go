@@ -27,7 +27,6 @@ type maintenance struct {
 	enc *engine.CatEncoding
 	// states[s] holds the loss states of every cell routing to shard s.
 	states []map[uint64]loss.CellState
-	ev     loss.CellEvaluator // bound to raw with the fixed global sample
 }
 
 // partitionStates splits a flat cell-state map into per-shard buckets
@@ -161,8 +160,10 @@ func (t *Tabula) Append(ctx context.Context, batch *dataset.Table) (*AppendStats
 		return nil, fmt.Errorf("core: %w (cube is now read-only; rebuild to ingest this batch)", err)
 	}
 
-	// Stage 2: rebind the evaluator (column slices may have been
-	// reallocated by the append), route every (row, cell) fold to its
+	// Stage 2: bind an evaluator to the grown table — evaluators alias
+	// the table's column slices, which the append may have reallocated,
+	// so none outlives an append: the maintainer keeps the states, never
+	// the evaluator — route every (row, cell) fold to its
 	// shard, and fold shard-by-shard on the worker pool. Each worker
 	// owns its shard's state map outright, so the folds race on
 	// nothing; within a shard, items stay in row-major order for
@@ -176,7 +177,6 @@ func (t *Tabula) Append(ctx context.Context, batch *dataset.Table) (*AppendStats
 		t.maint = nil
 		return nil, fmt.Errorf("core: %w (cube is now read-only; rebuild to ingest this batch)", err)
 	}
-	m.ev = ev
 	lat := cube.NewLattice(m.enc.NumAttrs())
 	perShard := make([][]foldItem, nShards)
 	// Mask-major chunked routing: one KeyPacker per cuboid packs the

@@ -143,6 +143,10 @@ type Stats struct {
 	// without per-row costs).
 	SamGraphRowCosts       int64
 	SamGraphRowCostsReused int64
+	// SamGraphSummaries is how many cells the join folded once into a
+	// raw-table state scored by every candidate's pair test (0 for losses
+	// whose states depend on the sample).
+	SamGraphSummaries int64
 
 	// Memory footprint breakdown in bytes (Figures 9 and 10b): the three
 	// physical components of Tabula.
@@ -422,7 +426,7 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 		return nil, err
 	}
 	if p.EnableAppend {
-		t.maint = &maintenance{raw: tbl, enc: enc, states: partitionStates(kept, p.Shards), ev: ev}
+		t.maint = &maintenance{raw: tbl, enc: enc, states: partitionStates(kept, p.Shards)}
 	}
 	sn.stats.DryRunTime = time.Since(dryStart)
 	sn.stats.NumCuboids = dry.Lattice.NumCuboids()
@@ -478,6 +482,7 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 		sn.stats.SamGraphPairsTested = graph.PairsTested
 		sn.stats.SamGraphRowCosts = graph.RowCosts
 		sn.stats.SamGraphRowCostsReused = graph.RowCostsReused
+		sn.stats.SamGraphSummaries = graph.Summaries
 	}
 	// The rest of the stage — copying the persisted samples, assigning
 	// cells, partitioning shards — is the tracer's "materialize".

@@ -187,6 +187,15 @@ func TestStatsPopulated(t *testing.T) {
 	if s.TotalBytes() != s.GlobalSampleBytes+s.CubeTableBytes+s.SampleTableBytes {
 		t.Fatal("TotalBytes mismatch")
 	}
+	// Which pair test answered the join: the mean loss scores one raw
+	// summary per iceberg cell, a heatmap sums row costs.
+	if s.SamGraphSummaries != int64(s.NumIcebergCells) || s.SamGraphRowCosts != 0 {
+		t.Fatalf("mean join: %d summaries over %d iceberg cells, %d row costs", s.SamGraphSummaries, s.NumIcebergCells, s.SamGraphRowCosts)
+	}
+	h := buildTabula(t, tbl, loss.NewHeatmap("pickup", geo.Euclidean), 0.002).Stats()
+	if h.SamGraphSummaries != 0 || h.SamGraphRowCosts == 0 {
+		t.Fatalf("heatmap join: %d summaries, %d row costs over %d iceberg cells", h.SamGraphSummaries, h.SamGraphRowCosts, h.NumIcebergCells)
+	}
 }
 
 // Sample selection must persist fewer (or equal) samples than Tabula*,

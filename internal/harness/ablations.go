@@ -222,7 +222,8 @@ func AblationSamGraph(s Scale, progress io.Writer) ([]*Report, error) {
 		Columns: []string{"strategy", "join time", "pairs tested", "representatives"},
 		Notes: []string{
 			"expected shape: the candidate cap bounds pairs tested, trading extra representatives for join time",
-			"early-abort pays off on 2-D heatmap losses over large cells; for cheap 1-D losses the generic path can be competitive",
+			"the algebraic rows take the join's row-cost path (early abort plus per-candidate cost reuse), which the histogram loss shares with the 2-D heatmap; the generic row re-sorts the sample and walks every row on each pair",
+			"losses whose cell states are raw summaries (mean, regression, distinct, top-k) skip both: each cell is folded once and a pair is one O(1) Loss call (DESIGN.md §7.11)",
 		},
 	}
 	run := func(name string, lf loss.Func, opts samgraph.BuildOptions) error {

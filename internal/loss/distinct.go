@@ -86,54 +86,66 @@ type distinctState struct {
 }
 
 type distinctCellEvaluator struct {
-	// codes is the raw table's per-row dictionary codes when the target
-	// column is a String column; keys/sam are unused then.
-	codes    []int32
-	samCodes map[int32]struct{}
+	d *Distinct
 
-	// keys is the stringified fallback for non-String targets.
-	keys []string
-	sam  map[string]struct{}
+	// The raw side, built by BindSample and shared by every Rebind: the
+	// table's per-row dictionary codes and the dictionary's string → code
+	// map when the target is a String column, else the stringified values.
+	codes []int32
+	rank  map[string]int32
+	keys  []string
+
+	// The sample side: samCodes beside codes, sam beside keys.
+	samCodes map[int32]struct{}
+	sam      map[string]struct{}
 }
 
 // BindSample implements DryRunner. When the target is a String column the
 // evaluator compares dictionary codes: cell sets hold the raw table's
 // codes, and the sample's values — the sample view may be over a
 // different table with its own dictionary — are remapped into raw codes.
-// A sample value absent from the raw dictionary can never intersect a
-// raw cell's set, so it is skipped; coverage is unchanged.
 func (d *Distinct) BindSample(table *dataset.Table, sam dataset.View) (CellEvaluator, error) {
 	col := table.Schema().ColumnIndex(d.Column)
 	if col < 0 {
 		return nil, errUnknownColumn(d.Column)
 	}
-	if samCol := sam.Table.Schema().ColumnIndex(d.Column); samCol >= 0 &&
-		table.Schema()[col].Type == dataset.String &&
-		sam.Table.Schema()[samCol].Type == dataset.String {
-		codes, dict := table.StringCodes(col)
-		rank := make(map[string]int32, len(dict))
+	raw := distinctCellEvaluator{d: d}
+	if table.Schema()[col].Type == dataset.String {
+		var dict []string
+		raw.codes, dict = table.StringCodes(col)
+		raw.rank = make(map[string]int32, len(dict))
 		for c, s := range dict {
-			rank[s] = int32(c)
+			raw.rank[s] = int32(c)
 		}
-		samRowCodes, samDict := sam.Table.StringCodes(samCol)
-		samCodes := make(map[int32]struct{})
-		n := sam.Len()
-		for i := 0; i < n; i++ {
-			if c, ok := rank[samDict[samRowCodes[sam.RowID(i)]]]; ok {
-				samCodes[c] = struct{}{}
-			}
+	} else {
+		raw.keys = make([]string, table.NumRows())
+		for i := range raw.keys {
+			raw.keys[i] = valueKey(table.Value(i, col))
 		}
-		return &distinctCellEvaluator{codes: codes, samCodes: samCodes}, nil
 	}
-	keys := make([]string, table.NumRows())
-	for i := range keys {
-		keys[i] = valueKey(table.Value(i, col))
-	}
-	samSet, err := d.distinctOf(sam)
+	return raw.Rebind(sam)
+}
+
+// Rebind implements RawSummarizer. A sample value absent from the raw
+// dictionary can never intersect a raw cell's set, so it is skipped;
+// coverage is unchanged.
+func (e *distinctCellEvaluator) Rebind(sam dataset.View) (CellEvaluator, error) {
+	samSet, err := e.d.distinctOf(sam)
 	if err != nil {
 		return nil, err
 	}
-	return &distinctCellEvaluator{keys: keys, sam: samSet}, nil
+	ev := *e
+	if e.codes == nil {
+		ev.sam = samSet
+		return &ev, nil
+	}
+	ev.samCodes = make(map[int32]struct{}, len(samSet))
+	for k := range samSet {
+		if c, ok := e.rank[k]; ok {
+			ev.samCodes[c] = struct{}{}
+		}
+	}
+	return &ev, nil
 }
 
 func (e *distinctCellEvaluator) NewState() CellState {
@@ -207,8 +219,9 @@ func (d *distinctDense) Grow(n int) {
 	}
 }
 
-//lint:hot AddChunk runs once per raw row; the set-insert fold must not
-// allocate beyond the set entries themselves.
+// The set-insert fold must not allocate beyond the set entries themselves.
+//
+//lint:hot AddChunk runs once per raw row.
 func (d *distinctDense) AddChunk(slots, rows []int32) {
 	if codes := d.ev.codes; codes != nil {
 		for i, s := range slots {

@@ -387,9 +387,9 @@ type dslCellEvaluator struct {
 	aggFns   []engine.AggFunc
 	colVals  [][]float64 // per raw atom needing a column: values by row
 	xs, ys   []float64   // regression inputs, when needed
-	// amdDist returns, for a table row, the distance to the fixed sample.
+	// amdDist returns, for a table row, the distance to the fixed sample
+	// (nil when the body has no AVGMINDIST atom).
 	amdDist func(row int32) float64
-	amdOK   bool
 	// Sam-side constants.
 	samVals map[string]float64
 	bytes   int64
@@ -397,17 +397,10 @@ type dslCellEvaluator struct {
 
 // BindSample implements DryRunner.
 func (d *DSL) BindSample(table *dataset.Table, sam dataset.View) (CellEvaluator, error) {
-	ev := &dslCellEvaluator{d: d, samVals: make(map[string]float64)}
-	full := dataset.FullView(table)
+	ev := &dslCellEvaluator{d: d}
 	for _, a := range d.atoms {
-		a := a
 		if !a.onRaw && a.kind != atomAvgMinDist {
-			v, err := d.atomValue(a, full, sam)
-			if err != nil {
-				return nil, err
-			}
-			ev.samVals[a.key] = v
-			continue
+			continue // a sample-side constant: bindSam's
 		}
 		ev.rawAtoms = append(ev.rawAtoms, a)
 		switch a.kind {
@@ -421,7 +414,7 @@ func (d *DSL) BindSample(table *dataset.Table, sam dataset.View) (CellEvaluator,
 			if err != nil {
 				return nil, err
 			}
-			ev.colVals = append(ev.colVals, full.FloatsOf(col))
+			ev.colVals = append(ev.colVals, numericColumn(table, col))
 			ev.bytes += 24
 		case atomSlope, atomAngle:
 			if ev.xs == nil {
@@ -433,7 +426,7 @@ func (d *DSL) BindSample(table *dataset.Table, sam dataset.View) (CellEvaluator,
 				if err != nil {
 					return nil, err
 				}
-				ev.xs, ev.ys = full.FloatsOf(xCol), full.FloatsOf(yCol)
+				ev.xs, ev.ys = numericColumn(table, xCol), numericColumn(table, yCol)
 			}
 			ev.aggFns = append(ev.aggFns, nil)
 			ev.colVals = append(ev.colVals, nil)
@@ -444,13 +437,47 @@ func (d *DSL) BindSample(table *dataset.Table, sam dataset.View) (CellEvaluator,
 				return nil, err
 			}
 			ev.amdDist = dist
-			ev.amdOK = true
 			ev.aggFns = append(ev.aggFns, nil)
 			ev.colVals = append(ev.colVals, nil)
 			ev.bytes += 16
 		}
 	}
-	return ev, nil
+	if err := ev.bindSam(sam); err != nil {
+		return nil, err
+	}
+	if ev.amdDist != nil {
+		return ev, nil // Add reads the sample: no raw summaries
+	}
+	return dslRawEvaluator{ev}, nil
+}
+
+// bindSam computes the sample-side constants of the body.
+func (e *dslCellEvaluator) bindSam(sam dataset.View) error {
+	e.samVals = make(map[string]float64)
+	for _, a := range e.d.atoms {
+		if a.onRaw || a.kind == atomAvgMinDist {
+			continue
+		}
+		v, err := e.d.atomValue(a, dataset.View{}, sam) // the raw side is unused
+		if err != nil {
+			return err
+		}
+		e.samVals[a.key] = v
+	}
+	return nil
+}
+
+// dslRawEvaluator is the evaluator of a body without an AVGMINDIST atom:
+// only the constants of bindSam depend on the sample.
+type dslRawEvaluator struct{ *dslCellEvaluator }
+
+// Rebind implements RawSummarizer.
+func (e dslRawEvaluator) Rebind(sam dataset.View) (CellEvaluator, error) {
+	ev := *e.dslCellEvaluator
+	if err := ev.bindSam(sam); err != nil {
+		return nil, err
+	}
+	return dslRawEvaluator{&ev}, nil
 }
 
 // bindAMD builds the row→min-distance function against a fixed sample.
@@ -471,7 +498,7 @@ func (d *DSL) bindAMD(table *dataset.Table, sam dataset.View) (func(row int32) f
 		grid := geo.NewGridIndex(d.metric, sam.PointsOf(samIdx), 4)
 		return func(row int32) float64 { return grid.NearestDistance(pts[row]) }, nil
 	}
-	vals := dataset.FullView(table).FloatsOf(idx)
+	vals := numericColumn(table, idx)
 	samIdx, err := resolveNumeric(sam.Table.Schema(), d.targets[0])
 	if err != nil {
 		return nil, err

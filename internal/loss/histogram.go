@@ -85,7 +85,7 @@ func (h *Histogram) BindSample(table *dataset.Table, sam dataset.View) (CellEval
 	if err != nil {
 		return nil, err
 	}
-	ev := &histCellEvaluator{vals: dataset.FullView(table).FloatsOf(col)}
+	ev := &histCellEvaluator{vals: numericColumn(table, col)}
 	if sam.Len() > 0 {
 		samCol, err := resolveNumeric(sam.Table.Schema(), h.Column)
 		if err != nil {

@@ -7,16 +7,20 @@
 // single scan of the raw table, merging partial states up the cuboid
 // lattice.
 //
-// Three capabilities are expressed as interfaces:
+// Func.Loss(raw, sam) is the definition itself — used for verification,
+// for the SampleOnTheFly baselines, and as every stage's fallback. What a
+// loss or its bound evaluator can do beyond it is expressed as interfaces:
 //
-//   - Func.Loss(raw, sam): the definition itself — used for verification,
-//     for the SampleOnTheFly baselines, and as the greedy sampler's
-//     fallback.
 //   - DryRunner.BindSample: an algebraic evaluator against a *fixed*
 //     sample, producing mergeable per-cell states (the dry-run stage and
-//     the SamGraph similarity join both use this).
+//     the SamGraph similarity join both use this); ChunkEvaluator is its
+//     columnar form for the vectorized scan.
+//   - RawSummarizer.Rebind and RowCoster.RowCost: how the SamGraph join
+//     may test a pair without folding the cell — the states never read the
+//     sample, or the loss is a mean of non-negative per-row costs.
 //   - GreedyCapable.NewGreedy: an incremental evaluator that makes each
 //     round of the greedy sampling algorithm (Algorithm 1) cheap.
+//   - MergeSafe: per-cell guarantees compose under disjoint union.
 //
 // Built-in losses mirror the paper's four instances: statistical mean
 // (Function 1), geospatial heatmap average-minimum-distance (Function 2),
@@ -161,6 +165,32 @@ func resolvePoint(s dataset.Schema, name string) (int, error) {
 	return idx, nil
 }
 
+// numericColumn returns numeric column col of table as float64s indexed by
+// table row: a Float64 column's backing slice itself — read-only, and valid
+// only until the table next grows, like the point and code slices other
+// evaluators hold — so a bind costs nothing per row; an Int64 column's copy.
+func numericColumn(table *dataset.Table, col int) []float64 {
+	if table.Schema()[col].Type == dataset.Float64 {
+		return table.Floats(col)
+	}
+	return dataset.FullView(table).FloatsOf(col)
+}
+
+// RawSummarizer is the capability of bound evaluators whose cell states
+// summarize the raw table alone: NewState, Add and Merge never read the
+// bound sample, only Loss does. A cell folded once can then be scored
+// against any number of samples.
+//
+// Rebind returns an evaluator over the same table bound to sam instead. It
+// shares the receiver's raw side (columns, keys, dictionaries), so it costs
+// O(|sam|) whatever the table size, and it accepts the states of the
+// receiver and of every evaluator rebound from it. Loss reads state and
+// evaluator without mutating either, so goroutines may share both.
+type RawSummarizer interface {
+	CellEvaluator
+	Rebind(sam dataset.View) (CellEvaluator, error)
+}
+
 // RowCoster is the capability of bound evaluators whose loss is the mean
 // of non-negative per-row costs: for any state st folded from rows,
 // Loss(st) equals (Σ RowCost(row)) / len(rows), the sum taken in Add order
@@ -206,4 +236,10 @@ var (
 
 	_ RowCoster = (*heatmapCellEvaluator)(nil)
 	_ RowCoster = (*histCellEvaluator)(nil)
+
+	_ RawSummarizer = (*meanCellEvaluator)(nil)
+	_ RawSummarizer = (*regCellEvaluator)(nil)
+	_ RawSummarizer = (*distinctCellEvaluator)(nil)
+	_ RawSummarizer = (*topkCellEvaluator)(nil)
+	_ RawSummarizer = dslRawEvaluator{}
 )

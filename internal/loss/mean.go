@@ -86,6 +86,7 @@ type meanCellState struct {
 }
 
 type meanCellEvaluator struct {
+	column string
 	floats []float64 // target column as floats, indexed by table row
 	samSum float64
 	samN   int64
@@ -97,13 +98,19 @@ func (m *Mean) BindSample(table *dataset.Table, sam dataset.View) (CellEvaluator
 	if err != nil {
 		return nil, err
 	}
-	ev := &meanCellEvaluator{floats: dataset.FullView(table).FloatsOf(col)}
-	samSum, samN, err := sumCount(sam, m.Column)
+	raw := meanCellEvaluator{column: m.Column, floats: numericColumn(table, col)}
+	return raw.Rebind(sam)
+}
+
+// Rebind implements RawSummarizer.
+func (e *meanCellEvaluator) Rebind(sam dataset.View) (CellEvaluator, error) {
+	samSum, samN, err := sumCount(sam, e.column)
 	if err != nil {
 		return nil, err
 	}
+	ev := *e
 	ev.samSum, ev.samN = samSum, samN
-	return ev, nil
+	return &ev, nil
 }
 
 func (e *meanCellEvaluator) NewState() CellState { return &meanCellState{} }

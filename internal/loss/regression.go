@@ -78,6 +78,7 @@ func (r *Regression) Loss(raw, sam dataset.View) float64 {
 }
 
 type regCellEvaluator struct {
+	r      *Regression
 	xs, ys []float64
 	sam    *engine.RegressionState
 }
@@ -92,20 +93,23 @@ func (r *Regression) BindSample(table *dataset.Table, sam dataset.View) (CellEva
 	if err != nil {
 		return nil, err
 	}
-	sxCol, err := resolveNumeric(sam.Table.Schema(), r.XColumn)
+	raw := regCellEvaluator{r: r, xs: numericColumn(table, xCol), ys: numericColumn(table, yCol)}
+	return raw.Rebind(sam)
+}
+
+// Rebind implements RawSummarizer.
+func (e *regCellEvaluator) Rebind(sam dataset.View) (CellEvaluator, error) {
+	sxCol, err := resolveNumeric(sam.Table.Schema(), e.r.XColumn)
 	if err != nil {
 		return nil, err
 	}
-	syCol, err := resolveNumeric(sam.Table.Schema(), r.YColumn)
+	syCol, err := resolveNumeric(sam.Table.Schema(), e.r.YColumn)
 	if err != nil {
 		return nil, err
 	}
-	full := dataset.FullView(table)
-	return &regCellEvaluator{
-		xs:  full.FloatsOf(xCol),
-		ys:  full.FloatsOf(yCol),
-		sam: regStateOf(sam, sxCol, syCol),
-	}, nil
+	ev := *e
+	ev.sam = regStateOf(sam, sxCol, syCol)
+	return &ev, nil
 }
 
 func (e *regCellEvaluator) NewState() CellState { return &engine.RegressionState{} }

@@ -116,7 +116,7 @@ func (t *TopK) Loss(raw, sam dataset.View) float64 {
 }
 
 type topkCellEvaluator struct {
-	k    int
+	t    *TopK
 	vals []float64
 	sam  *topKSet
 }
@@ -127,18 +127,22 @@ func (t *TopK) BindSample(table *dataset.Table, sam dataset.View) (CellEvaluator
 	if err != nil {
 		return nil, err
 	}
-	samSet, err := t.topOf(sam)
+	raw := topkCellEvaluator{t: t, vals: numericColumn(table, col)}
+	return raw.Rebind(sam)
+}
+
+// Rebind implements RawSummarizer.
+func (e *topkCellEvaluator) Rebind(sam dataset.View) (CellEvaluator, error) {
+	samSet, err := e.t.topOf(sam)
 	if err != nil {
 		return nil, err
 	}
-	return &topkCellEvaluator{
-		k:    t.K,
-		vals: dataset.FullView(table).FloatsOf(col),
-		sam:  samSet,
-	}, nil
+	ev := *e
+	ev.sam = samSet
+	return &ev, nil
 }
 
-func (e *topkCellEvaluator) NewState() CellState { return newTopKSet(e.k) }
+func (e *topkCellEvaluator) NewState() CellState { return newTopKSet(e.t.K) }
 
 func (e *topkCellEvaluator) Add(st CellState, row int32) {
 	st.(*topKSet).add(e.vals[row])
@@ -152,7 +156,7 @@ func (e *topkCellEvaluator) Loss(st CellState) float64 {
 	return missingFrac(st.(*topKSet), e.sam)
 }
 
-func (e *topkCellEvaluator) StateBytes() int64 { return int64(e.k)*8 + 24 }
+func (e *topkCellEvaluator) StateBytes() int64 { return int64(e.t.K)*8 + 24 }
 
 type topkGreedy struct {
 	k    int

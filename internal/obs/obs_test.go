@@ -182,6 +182,15 @@ func TestStageTracer(t *testing.T) {
 	if v, ok := r.Value("tabula_build_stage_seconds", Label{Name: "stage", Value: "dry_run"}); !ok || v != 2 {
 		t.Fatalf("stage histogram count = %v, %v (want 2 observations)", v, ok)
 	}
+	// A stage started inside another is a series of its own.
+	doneJoin := StartStage(ctx, "samgraph_join")
+	StartStage(ctx, "samgraph_summaries")()
+	doneJoin()
+	for _, stage := range []string{"samgraph_join", "samgraph_summaries"} {
+		if v, ok := r.Value("tabula_build_stage_seconds", Label{Name: "stage", Value: stage}); !ok || v != 1 {
+			t.Fatalf("nested stage %q: %v observations (ok=%v), want 1", stage, v, ok)
+		}
+	}
 	// No tracer installed: the shared no-op comes back and does nothing.
 	if done := StartStage(context.Background(), "x"); &done == nil {
 		t.Fatal("unreachable")

@@ -39,9 +39,15 @@ func geoTable(r *rand.Rand, shape string, nRows, nVertices int) (*dataset.Table,
 		}
 		tbl.MustAppendRow(dataset.PointValue(geo.Point{X: x, Y: y}), dataset.FloatValue(v))
 	}
+	return tbl, overlappingVertices(r, nRows, nVertices)
+}
+
+// overlappingVertices draws vertices over a table of nRows rows: each a
+// contiguous-ish stride of rows, so neighbours overlap heavily, with a
+// sample that is a subset of its rows of size 0 (empty), 1 or a few.
+func overlappingVertices(r *rand.Rand, nRows, nVertices int) []Vertex {
 	vertices := make([]Vertex, nVertices)
 	for i := range vertices {
-		// A contiguous-ish stride of rows, so neighbours overlap heavily.
 		size := 1 + r.Intn(nRows/2)
 		start := r.Intn(nRows)
 		step := 1 + r.Intn(3)
@@ -70,7 +76,7 @@ func geoTable(r *rand.Rand, shape string, nRows, nVertices int) (*dataset.Table,
 			vertices[i].SampleRows = append(vertices[i].SampleRows, vertices[i].Rows[j])
 		}
 	}
-	return tbl, vertices
+	return vertices
 }
 
 // lossMatrix evaluates the definition, loss(u.Rows, v.SampleRows), for every
@@ -227,10 +233,10 @@ func TestRowCostMemoCollisions(t *testing.T) {
 	}
 }
 
-// BenchmarkSamGraphJoinHeatmap runs the exhaustive heatmap join on the
-// shape the repository benchmark builds (many small overlapping cells,
-// samples of a few dozen tuples), at reduced size.
-func BenchmarkSamGraphJoinHeatmap(b *testing.B) {
+// joinBenchInput is the shape the repository benchmark builds (many small
+// overlapping cells, samples of a few dozen tuples) at reduced size, shared
+// by the join benchmarks so they are comparable.
+func joinBenchInput() (*dataset.Table, []Vertex) {
 	r := rand.New(rand.NewSource(41))
 	tbl, vertices := geoTable(r, "clustered", 12000, 300)
 	for i := range vertices {
@@ -239,6 +245,12 @@ func BenchmarkSamGraphJoinHeatmap(b *testing.B) {
 			vertices[i].SampleRows = vertices[i].Rows[:1+i%40]
 		}
 	}
+	return tbl, vertices
+}
+
+// BenchmarkSamGraphJoinHeatmap runs the exhaustive heatmap join.
+func BenchmarkSamGraphJoinHeatmap(b *testing.B) {
+	tbl, vertices := joinBenchInput()
 	f := loss.NewHeatmap("p", geo.Euclidean)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -42,6 +42,10 @@ type Graph struct {
 	// an earlier target sharing the row.
 	RowCosts       int64
 	RowCostsReused int64
+	// Summaries counts the target vertices folded once into a raw-table
+	// state that every candidate's pair test then scored, for losses whose
+	// bound evaluators are loss.RawSummarizers (0 otherwise).
+	Summaries int64
 }
 
 // NumVertices returns the vertex count.
@@ -75,8 +79,12 @@ type BuildOptions struct {
 }
 
 // cancelCheckTargets is how many representation tests a join worker
-// performs between ctx.Err() polls (mirrors engine's cancelCheckRows).
-const cancelCheckTargets = 256
+// performs between ctx.Err() polls, and cancelCheckRows how many rows it
+// folds into a summary between them (engine's cancelCheckRows).
+const (
+	cancelCheckTargets = 256
+	cancelCheckRows    = 4096
+)
 
 // buildOrder returns the candidate order: largest sample first, index
 // ascending among ties. The MaxCandidates admission rule and therefore
@@ -137,7 +145,8 @@ func (m *costMemo) bind(rc loss.RowCoster, rank int64) {
 // exceeds reports whether the mean cost of rows is above theta. Costs are
 // summed in row order, exactly as folding the rows through Add and asking
 // Loss would; because they are non-negative the sum only grows, so the
-// fold stops at the first prefix past theta·len(rows).
+// fold stops at the first prefix past theta·len(rows). Both comparisons are
+// phrased "not within" rather than "above", so a NaN cost rejects the pair.
 //
 //lint:hot exceeds runs once per candidate pair; its loop once per row probed.
 func (m *costMemo) exceeds(rows []int32, theta float64) bool {
@@ -150,45 +159,186 @@ func (m *costMemo) exceeds(rows []int32, theta float64) bool {
 			m.computed++
 		}
 		sum += slot.cost
-		if sum > budget {
+		if !(sum <= budget) {
 			m.costs += int64(i + 1)
 			return true
 		}
 	}
 	m.costs += int64(len(rows))
-	return len(rows) > 0 && sum/float64(len(rows)) > theta
+	return len(rows) > 0 && !(sum/float64(len(rows)) <= theta)
 }
 
-// lossExceeds reports whether loss(rows, ev's bound sample) > theta by
-// folding the rows through the evaluator.
+// lossExceeds reports whether loss(rows, ev's bound sample) is not within
+// theta (a NaN loss is not) by folding the rows through the evaluator.
 func lossExceeds(ev loss.CellEvaluator, rows []int32, theta float64) bool {
 	st := ev.NewState()
 	for _, row := range rows {
 		ev.Add(st, row)
 	}
-	return ev.Loss(st) > theta
+	return !(ev.Loss(st) <= theta)
+}
+
+// forEach runs fn(w, i) for every i in [0, n) on the given number of
+// goroutines, w naming the goroutine. Items are handed out in ascending
+// order until one fails or ctx is cancelled; ctx's error, else the first
+// failure, is returned.
+func forEach(ctx context.Context, workers, n int, fn func(w, i int) error) error {
+	var (
+		wg     sync.WaitGroup
+		next   atomic.Int64
+		failed atomic.Pointer[error]
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for failed.Load() == nil && ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if err := fn(w, i); err != nil {
+					failed.CompareAndSwap(nil, &err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if err := failed.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
+// join is what the workers of one Build share.
+type join struct {
+	tbl        *dataset.Table
+	vertices   []Vertex
+	f          loss.Func
+	theta      float64
+	maxCand    int
+	order, pos []int          // the candidate order, and each vertex's rank in it
+	out        [][]int        // Graph.Out: candidate v writes out[v] only
+	dr         loss.DryRunner // nil: f is not algebraic and pairs call f.Loss
+	// sum is non-nil when f's states summarize the raw table alone;
+	// states[u] is then vertices[u].Rows folded in row order.
+	sum    loss.RawSummarizer
+	states []loss.CellState
+}
+
+// joinWorker is one goroutine's pair count and its row-cost memo (created
+// for the first loss.RowCoster candidate).
+type joinWorker struct {
+	pairs int64
+	memo  *costMemo
+}
+
+// admitted reports whether the candidate of the given rank gets to test
+// target u under the MaxCandidates budget. Sequentially, target u is tested
+// by the first MaxCandidates candidates in order, skipping u itself — a set
+// that depends only on the fixed order, never on test outcomes or
+// scheduling, so it can be evaluated independently per pair.
+func (j *join) admitted(rank, u int) bool {
+	if j.maxCand <= 0 {
+		return true
+	}
+	if j.pos[u] < rank {
+		rank-- // u itself is skipped, freeing one budget slot
+	}
+	return rank < j.maxCand
+}
+
+// candidate binds the sample of the candidate with the given rank, tests it
+// against every admitted target and records its adjacency list — ascending,
+// as the candidate slots itself in on the way.
+//
+//lint:hot the loop runs once per candidate pair.
+func (j *join) candidate(ctx context.Context, wk *joinWorker, rank int) error {
+	v := j.order[rank]
+	samView := dataset.NewView(j.tbl, j.vertices[v].SampleRows)
+	var ev loss.CellEvaluator // stays nil when f is not algebraic
+	var err error
+	switch {
+	case j.sum != nil:
+		ev, err = j.sum.Rebind(samView)
+	case j.dr != nil:
+		ev, err = j.dr.BindSample(j.tbl, samView)
+	}
+	if err != nil {
+		return fmt.Errorf("samgraph: binding candidate %d: %w", v, err)
+	}
+	rc, byCosts := ev.(loss.RowCoster)
+	if byCosts {
+		if wk.memo == nil {
+			wk.memo = newCostMemo()
+		}
+		wk.memo.bind(rc, int64(rank))
+	}
+	var pairs int64 // added to wk once: the workers' tallies share cache lines
+	out := j.out[v][:0]
+	for u := range j.vertices {
+		if u == v {
+			out = append(out, v)
+			continue
+		}
+		if !j.admitted(rank, u) {
+			continue
+		}
+		if pairs%cancelCheckTargets == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		pairs++
+		rows := j.vertices[u].Rows
+		var exceeds bool
+		switch {
+		case j.sum != nil:
+			exceeds = !(ev.Loss(j.states[u]) <= j.theta)
+		case byCosts:
+			exceeds = wk.memo.exceeds(rows, j.theta)
+		case j.dr != nil:
+			exceeds = lossExceeds(ev, rows, j.theta)
+		default:
+			exceeds = !(j.f.Loss(dataset.NewView(j.tbl, rows), samView) <= j.theta)
+		}
+		if !exceeds {
+			out = append(out, u)
+		}
+	}
+	wk.pairs += pairs
+	j.out[v] = out
+	return nil
 }
 
 // Build constructs the SamGraph over the given vertices: a similarity
 // self-join of the cube table with the predicate
-// loss(t1.cellrawdata, t2.sample) ≤ theta. Losses that implement
-// loss.DryRunner are evaluated by binding each candidate sample once and
-// folding every tested cell's rows through the bound evaluator (so e.g.
-// the heatmap loss builds one nearest-neighbour grid per candidate, not
-// per pair); others fall back to direct Loss calls.
+// loss(t1.cellrawdata, t2.sample) ≤ theta (a NaN loss satisfies no
+// threshold, so it is never an edge). What the loss's bound evaluator
+// offers, probed once, picks the pair test:
 //
-// When the bound evaluator is a loss.RowCoster (heatmap, histogram) the
-// loss is a mean of non-negative row costs: a pair is rejected as soon as
-// a partial sum passes theta·|rows|, and each worker remembers the current
-// candidate's row costs across targets (costMemo). Neither changes a sum,
-// so the edges are those of the plain fold.
+//   - loss.RawSummarizer: cell states never read the sample, so every
+//     target is folded once, in row order, and a pair is one Loss call on
+//     the candidate's rebound evaluator;
+//   - loss.RowCoster: the loss is a mean of non-negative row costs, so a
+//     pair is rejected as soon as a partial sum passes theta·|rows|, and
+//     each worker remembers the current candidate's row costs across
+//     targets (costMemo);
+//   - any other loss.DryRunner: each candidate is bound once and every
+//     tested cell folded through it; without one, direct Loss calls.
 //
-// The outer candidate loop is sharded across opts.Workers goroutines.
-// Candidate vertices are independent — each binds its own evaluator and
-// writes only its own adjacency list — so the output graph (edges and
-// pair counts alike) is byte-identical to a sequential join at any
-// worker count (pinned by TestParallelBuildMatchesSequential). ctx
-// cancellation aborts the join with ctx.Err().
+// Each computes the very floats of the per-pair fold, so the edges are the
+// loss definition's on every path.
+//
+// The candidate loop is sharded across opts.Workers goroutines. Candidate
+// vertices are independent — each binds its own evaluator and writes only
+// its own adjacency list — so the output graph (edges and pair counts
+// alike) is byte-identical to a sequential join at any worker count
+// (pinned by TestParallelBuildMatchesSequential). ctx cancellation aborts
+// the join with ctx.Err().
 func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Func, theta float64, opts BuildOptions) (*Graph, error) {
 	defer obs.StartStage(ctx, "samgraph_join")()
 	n := len(vertices)
@@ -203,29 +353,11 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 		return nil, err
 	}
 
-	order := buildOrder(vertices)
-	// pos[v] is v's rank in the candidate order; the admission rule
-	// below is phrased in ranks.
-	pos := make([]int, n)
-	for i, v := range order {
-		pos[v] = i
+	j := &join{tbl: tbl, vertices: vertices, f: f, theta: theta, maxCand: opts.MaxCandidates,
+		order: buildOrder(vertices), pos: make([]int, n), out: g.Out}
+	for i, v := range j.order {
+		j.pos[v] = i
 	}
-	// admitted reports whether candidate v gets to test target u under
-	// the MaxCandidates budget. Sequentially, target u is tested by the
-	// first MaxCandidates candidates in order, skipping u itself — a set
-	// that depends only on the fixed order, never on test outcomes or
-	// scheduling, so it can be evaluated independently per (v, u) pair.
-	admitted := func(v, u int) bool {
-		if opts.MaxCandidates <= 0 {
-			return true
-		}
-		rank := pos[v]
-		if pos[u] < rank {
-			rank-- // u itself is skipped, freeing one budget slot
-		}
-		return rank < opts.MaxCandidates
-	}
-
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -234,109 +366,54 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 		workers = n
 	}
 
-	dr, algebraic := f.(loss.DryRunner)
-	var (
-		wg          sync.WaitGroup
-		nextIdx     atomic.Int64
-		pairsTested atomic.Int64
-		rowCosts    atomic.Int64
-		rowComputed atomic.Int64
-		stop        atomic.Bool
-	)
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var (
-				pairs int64
-				memo  *costMemo // created on the first RowCoster candidate
-			)
-			defer func() {
-				pairsTested.Add(pairs)
-				if memo != nil {
-					rowCosts.Add(memo.costs)
-					rowComputed.Add(memo.computed)
-				}
-			}()
-			for {
-				i := nextIdx.Add(1) - 1
-				if i >= int64(n) || stop.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-				v := order[i]
-				samView := dataset.NewView(tbl, vertices[v].SampleRows)
-				var (
-					ev      loss.CellEvaluator
-					byCosts bool
-				)
-				if algebraic {
-					var err error
-					ev, err = dr.BindSample(tbl, samView)
-					if err != nil {
-						errs[w] = fmt.Errorf("samgraph: binding candidate %d: %w", v, err)
-						stop.Store(true)
-						return
-					}
-					var rc loss.RowCoster
-					if rc, byCosts = ev.(loss.RowCoster); byCosts {
-						if memo == nil {
-							memo = newCostMemo()
-						}
-						memo.bind(rc, i)
-					}
-				}
-				out := g.Out[v]
-				for u := range vertices {
-					if u == v || !admitted(v, u) {
-						continue
-					}
-					if pairs%cancelCheckTargets == 0 {
-						if err := ctx.Err(); err != nil {
-							errs[w] = err
-							stop.Store(true)
-							return
-						}
-					}
-					pairs++
-					rows := vertices[u].Rows
-					var exceeds bool
-					switch {
-					case byCosts:
-						exceeds = memo.exceeds(rows, theta)
-					case algebraic:
-						exceeds = lossExceeds(ev, rows, theta)
-					default:
-						exceeds = f.Loss(dataset.NewView(tbl, rows), samView) > theta
-					}
-					if !exceeds {
-						out = append(out, u)
-					}
-				}
-				sort.Ints(out)
-				g.Out[v] = out
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
+	if dr, ok := f.(loss.DryRunner); ok {
+		j.dr = dr
+		first := j.order[0]
+		probe, err := dr.BindSample(tbl, dataset.NewView(tbl, vertices[first].SampleRows))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("samgraph: binding candidate %d: %w", first, err)
+		}
+		if sum, ok := probe.(loss.RawSummarizer); ok {
+			done := obs.StartStage(ctx, "samgraph_summaries")
+			j.sum, j.states = sum, make([]loss.CellState, n)
+			err := forEach(ctx, workers, n, func(_, u int) error {
+				st := sum.NewState()
+				for i, row := range vertices[u].Rows {
+					if i%cancelCheckRows == 0 && i > 0 {
+						if err := ctx.Err(); err != nil {
+							return err
+						}
+					}
+					sum.Add(st, row)
+				}
+				j.states[u] = st
+				return nil
+			})
+			done()
+			if err != nil {
+				return nil, err
+			}
+			g.Summaries = int64(n)
 		}
 	}
-	g.PairsTested = pairsTested.Load()
-	g.RowCosts = rowCosts.Load()
-	g.RowCostsReused = g.RowCosts - rowComputed.Load()
+
+	wks := make([]joinWorker, workers)
+	err := forEach(ctx, workers, n, func(w, rank int) error { return j.candidate(ctx, &wks[w], rank) })
+	if err != nil {
+		return nil, err
+	}
+	var rowComputed int64
+	for _, wk := range wks {
+		g.PairsTested += wk.pairs
+		if wk.memo != nil {
+			g.RowCosts += wk.memo.costs
+			rowComputed += wk.memo.computed
+		}
+	}
+	g.RowCostsReused = g.RowCosts - rowComputed
 	st := obs.StagesFrom(ctx)
 	st.Count("tabula_samgraph_pairs_total", "SamGraph join representation tests performed.", g.PairsTested)
+	st.Count("tabula_samgraph_summaries_total", "Target cells the SamGraph join folded once into a raw summary that every candidate's pair test scored.", g.Summaries)
 	const costsHelp = "Row costs summed by SamGraph pair tests: computed by the loss evaluator, or reused from an earlier target of the same candidate."
 	st.Count("tabula_samgraph_row_costs_total", costsHelp, g.RowCosts-g.RowCostsReused, obs.Label{Name: "outcome", Value: "computed"})
 	st.Count("tabula_samgraph_row_costs_total", costsHelp, g.RowCostsReused, obs.Label{Name: "outcome", Value: "reused"})
