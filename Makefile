@@ -1,14 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
-# METRICS_OVERHEAD_MAX: the warm-path ns/op overhead (percent) the armed
-# metrics surface may cost over a nil registry before bench-serve fails.
-# The instruments are three atomics plus a pooled status writer, so the
-# true cost is ~1-2%; 10% leaves room for shared-VM timer noise while
-# still catching an accidental allocation or lock on the hot path (the
-# allocs/op delta is gated separately at 0.5 inside tabula-bench).
-METRICS_OVERHEAD_MAX ?= 10
 
-.PHONY: check build test race vet lint lint-json cover fuzz-smoke bench bench-smoke bench-concurrent bench-json bench-serve bench-append bench-batch bench-init metrics-smoke
+.PHONY: check build test race vet lint lint-json cover fuzz-smoke bench bench-smoke bench-module-test bench-concurrent bench-json bench-append bench-init metrics-smoke
 
 ## check: the full gate — vet, the project linter, build everything, and
 ## run the test suite under the race detector. CI and pre-commit should
@@ -46,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendBatch$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDryRunChunked$$' -fuzztime $(FUZZTIME) ./internal/cube
 	$(GO) test -run '^$$' -fuzz '^FuzzNearestDistance$$' -fuzztime $(FUZZTIME) ./internal/geo
+	$(GO) test -run '^$$' -fuzz '^FuzzCRC32Combine$$' -fuzztime $(FUZZTIME) ./internal/wire
 
 build:
 	$(GO) build ./...
@@ -67,6 +61,13 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
+## bench-module-test: bench/ is a module of its own, so `go test ./...`
+## at the root never compiles it; this builds and tests it against the
+## working tree, which is what catches a server-API change that breaks
+## the benchmark.
+bench-module-test:
+	cd bench && $(GO) test ./...
+
 ## bench-concurrent: the snapshot design's headline numbers — lock-free
 ## query throughput with and without a concurrent appender.
 bench-concurrent:
@@ -77,26 +78,11 @@ bench-concurrent:
 bench-json:
 	$(GO) run ./cmd/tabula-bench -init-json BENCH_init.json -rows 30000 -seed 42 -workers 1,2,4,8
 
-## bench-serve: machine-readable serving-path throughput (warm cache,
-## cold cache, 100-cell batch viewport, pre-cache legacy baseline, and
-## the warm_nometrics observability baseline) at a fixed seed and scale,
-## written to BENCH_serve.json. Fails if the metrics-armed warm path
-## costs more than METRICS_OVERHEAD_MAX percent over the nil-registry
-## run, or if instrumentation allocates on the hot path.
-bench-serve:
-	$(GO) run ./cmd/tabula-bench -serve-json BENCH_serve.json -rows 30000 -seed 42 -metrics-overhead-max $(METRICS_OVERHEAD_MAX)
-
 ## metrics-smoke: boot a real tabula-server, scrape GET /v1/metrics, and
 ## fail on a non-200 status or an empty exposition — the end-to-end
 ## "is the observability surface actually wired" check CI runs.
 metrics-smoke:
 	./scripts/metrics_smoke.sh
-
-## bench-batch: the viewport hot path — warm 100-cell batch viewports
-## and the cold full-domain variant whose per-cell payload encodes run
-## through the parallel miss-fill.
-bench-batch:
-	$(GO) test -run '^$$' -bench 'BenchmarkServeQueryBatch' -benchmem ./internal/server
 
 ## bench-init: the dry-run scan kernels — the vectorized path (chunked
 ## key packing, dense-slot accumulators, columnar loss kernels) against

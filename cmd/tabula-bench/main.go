@@ -7,7 +7,6 @@
 //	tabula-bench -experiment fig11a [-rows 60000] [-queries 60] [-seed 42]
 //	tabula-bench -experiment all -out results.txt
 //	tabula-bench -init-json BENCH_init.json [-workers 1,2,4,8]
-//	tabula-bench -serve-json BENCH_serve.json
 //	tabula-bench -append-json BENCH_append.json
 //	tabula-bench -list
 package main
@@ -26,18 +25,16 @@ import (
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "", "experiment id (fig8a..fig14b, table1, table2) or 'all'")
-		rows        = flag.Int("rows", harness.DefaultScale.Rows, "synthetic NYCtaxi rows")
-		queries     = flag.Int("queries", harness.DefaultScale.Queries, "queries per workload")
-		seed        = flag.Int64("seed", harness.DefaultScale.Seed, "random seed")
-		out         = flag.String("out", "", "also write reports to this file")
-		list        = flag.Bool("list", false, "list experiment ids and exit")
-		quiet       = flag.Bool("quiet", false, "suppress progress output")
-		initJSON    = flag.String("init-json", "", "write an initialization stage-timing sweep to this JSON file and exit")
-		workers     = flag.String("workers", "", "comma-separated worker counts for -init-json (default 1,2,4,GOMAXPROCS)")
-		serveJSON   = flag.String("serve-json", "", "write serving-path throughput measurements to this JSON file and exit")
-		overheadMax = flag.Float64("metrics-overhead-max", 0, "with -serve-json: fail if warm metrics overhead exceeds this percent (0 disables the gate)")
-		appendJSON  = flag.String("append-json", "", "write append-latency and cache-retention measurements to this JSON file and exit")
+		experiment = flag.String("experiment", "", "experiment id (fig8a..fig14b, table1, table2) or 'all'")
+		rows       = flag.Int("rows", harness.DefaultScale.Rows, "synthetic NYCtaxi rows")
+		queries    = flag.Int("queries", harness.DefaultScale.Queries, "queries per workload")
+		seed       = flag.Int64("seed", harness.DefaultScale.Seed, "random seed")
+		out        = flag.String("out", "", "also write reports to this file")
+		list       = flag.Bool("list", false, "list experiment ids and exit")
+		quiet      = flag.Bool("quiet", false, "suppress progress output")
+		initJSON   = flag.String("init-json", "", "write an initialization stage-timing sweep to this JSON file and exit")
+		workers    = flag.String("workers", "", "comma-separated worker counts for -init-json (default 1,2,4,GOMAXPROCS)")
+		appendJSON = flag.String("append-json", "", "write append-latency and cache-retention measurements to this JSON file and exit")
 	)
 	flag.Parse()
 
@@ -86,55 +83,6 @@ func main() {
 				k.VectorizedAllocsPerOp, k.ScalarAllocsPerOp, k.AllocReduction)
 		} else {
 			fmt.Printf("wrote %s\n", *initJSON)
-		}
-		return
-	}
-	if *serveJSON != "" {
-		var progress io.Writer = os.Stderr
-		if *quiet {
-			progress = nil
-		}
-		rep, err := server.MeasureServing(*rows, *seed, progress)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tabula-bench: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*serveJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tabula-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := harness.WriteServeJSON(f, rep); err != nil {
-			//lint:ignore droppederr best-effort cleanup; the write error below is the one worth reporting
-			f.Close()
-			fmt.Fprintf(os.Stderr, "tabula-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "tabula-bench: %v\n", err)
-			os.Exit(1)
-		}
-		warm, legacy := rep.Scenario("warm"), rep.Scenario("legacy")
-		fmt.Printf("wrote %s (warm %.0f req/s vs legacy %.0f req/s: %.1fx; allocs/op %.0f vs %.0f: %.1fx)\n",
-			*serveJSON, warm.ReqPerSec, legacy.ReqPerSec, rep.WarmSpeedupVsLegacy,
-			warm.AllocsPerOp, legacy.AllocsPerOp, rep.WarmAllocImprovementVsLegacy)
-		if batch := rep.Scenario("batch"); batch != nil {
-			fmt.Printf("  batch viewport: %.0f req/s, %.0f ns/op, %.0f allocs/op; cold parallel fill p1→p4: %.2fx\n",
-				batch.ReqPerSec, batch.NsPerOp, batch.AllocsPerOp, rep.BatchParallelSpeedup)
-		}
-		fmt.Printf("  metrics overhead: %+.1f%% ns/op, %+.1f allocs/op (warm vs warm_nometrics)\n",
-			rep.MetricsOverheadNsPct, rep.MetricsOverheadAllocsPerOp)
-		if *overheadMax > 0 {
-			if rep.MetricsOverheadNsPct > *overheadMax {
-				fmt.Fprintf(os.Stderr, "tabula-bench: metrics overhead %.1f%% exceeds -metrics-overhead-max %.1f%%\n",
-					rep.MetricsOverheadNsPct, *overheadMax)
-				os.Exit(1)
-			}
-			if rep.MetricsOverheadAllocsPerOp > 0.5 {
-				fmt.Fprintf(os.Stderr, "tabula-bench: metrics added %.2f allocs/op on the warm path; the instrumentation contract is 0\n",
-					rep.MetricsOverheadAllocsPerOp)
-				os.Exit(1)
-			}
 		}
 		return
 	}

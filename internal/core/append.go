@@ -169,7 +169,7 @@ func (t *Tabula) Append(ctx context.Context, batch *dataset.Table) (*AppendStats
 	// nothing; within a shard, items stay in row-major order for
 	// deterministic state evolution.
 	dr := t.params.Loss.(loss.DryRunner)
-	ev, err := dr.BindSample(m.raw, dataset.FullView(cur.global))
+	ev, err := dr.BindSample(m.raw, dataset.FullView(cur.global.tbl))
 	if err != nil {
 		// The raw table already grew but the snapshot will not: the
 		// maintainer has diverged from the served cube, so further
@@ -330,7 +330,7 @@ func (t *Tabula) Append(ctx context.Context, batch *dataset.Table) (*AppendStats
 			cellView := dataset.NewView(m.raw, cellRows[key])
 			if wasIceberg {
 				// Keep the assigned sample if it still satisfies θ.
-				if t.params.Loss.Loss(cellView, dataset.FullView(sh.samples[prevID])) <= t.params.Theta {
+				if t.params.Loss.Loss(cellView, dataset.FullView(sh.samples[prevID].tbl)) <= t.params.Theta {
 					out.kept++
 					continue
 				}
@@ -340,7 +340,7 @@ func (t *Tabula) Append(ctx context.Context, batch *dataset.Table) (*AppendStats
 				return fmt.Errorf("core: resampling cell %d: %w", key, err)
 			}
 			id := int32(len(sh.samples))
-			sh.samples = append(sh.samples, dataset.NewView(m.raw, sampleRows).Materialize())
+			sh.samples = append(sh.samples, &sample{tbl: dataset.NewView(m.raw, sampleRows).Materialize()})
 			sh.cubeTable[key] = id
 			out.rebuilt++
 		}
@@ -372,7 +372,7 @@ func (t *Tabula) Append(ctx context.Context, batch *dataset.Table) (*AppendStats
 	next.stats.CubeTableBytes = int64(next.numIcebergCells()) * cubeTableEntryBytes
 	next.stats.SampleTableBytes = 0
 	for _, s := range distinct {
-		next.stats.SampleTableBytes += s.Footprint()
+		next.stats.SampleTableBytes += s.tbl.Footprint()
 	}
 	t.snap.Store(next)
 	stats.Elapsed = time.Since(start)

@@ -183,7 +183,7 @@ func TestSnapshotImmutableDuringAppend(t *testing.T) {
 	if tab.snap.Load() == sn {
 		t.Fatal("append did not swap the snapshot")
 	}
-	if sn.global != globalBefore {
+	if sn.global.tbl != globalBefore {
 		t.Fatal("append mutated the retired snapshot's global sample pointer")
 	}
 	if sn.stats != statsBefore {

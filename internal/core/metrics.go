@@ -27,6 +27,8 @@ type appendMetrics struct {
 //	tabula_cube_shards{cube}                fixed shard count gauge
 //	tabula_cube_iceberg_cells{cube}         iceberg cell inventory gauge
 //	tabula_cube_shard_generation{cube,shard} per-shard generation gauges
+//	tabula_wire_cells{cube}                 samples holding wire bytes
+//	tabula_wire_resident_bytes{cube}        those bytes (see WireStats)
 //
 // Gauges are sampled at scrape time from the published snapshot (one
 // atomic load per sample), so registration adds zero cost to queries
@@ -50,6 +52,10 @@ func (t *Tabula) RegisterMetrics(reg *obs.Registry, cube string) {
 		func() float64 { return float64(t.NumShards()) }, lbl)
 	reg.GaugeFunc("tabula_cube_iceberg_cells", "Iceberg cells across all shards of the published snapshot.",
 		func() float64 { return float64(t.snap.Load().numIcebergCells()) }, lbl)
+	reg.GaugeFunc("tabula_wire_cells", "Samples of the published snapshot whose wire bytes are materialized.",
+		func() float64 { return float64(t.WireStats().CellsFilled) }, lbl)
+	reg.GaugeFunc("tabula_wire_resident_bytes", "Materialized wire bytes resident on the published snapshot's samples.",
+		func() float64 { return float64(t.WireStats().Bytes) }, lbl)
 	for i := 0; i < t.NumShards(); i++ {
 		reg.GaugeFunc("tabula_cube_shard_generation", "Per-shard monotonic generation of the published snapshot.",
 			func() float64 {
@@ -70,4 +76,29 @@ func (t *Tabula) observeAppend(st *AppendStats) {
 	m.rows.Add(uint64(st.RowsAppended))
 	m.duration.Observe(st.Elapsed.Seconds())
 	m.shards.Observe(float64(len(st.ShardsTouched)))
+}
+
+// WireStats describes the wire bytes materialized on the samples of the
+// published snapshot. They are serving state the cube carries, not part
+// of the sampling cube's footprint: Stats.TotalBytes excludes them.
+type WireStats struct {
+	// CellsFilled counts the samples — persisted, global and empty —
+	// that have been served at least once and hold their bytes.
+	CellsFilled int
+	// Bytes is the compressed size those samples hold.
+	Bytes int64
+}
+
+// WireStats walks the published snapshot's samples. A sample that no
+// snapshot references any more is not counted: its bytes went with it.
+func (t *Tabula) WireStats() WireStats {
+	sn := t.snap.Load()
+	var st WireStats
+	for _, sam := range append(sn.distinctSamples(), sn.global, sn.empty) {
+		if seg := sam.wire.Filled(); seg != nil {
+			st.CellsFilled++
+			st.Bytes += int64(len(seg.Deflate))
+		}
+	}
+	return st
 }

@@ -154,7 +154,7 @@ func (t *Tabula) Save(w io.Writer) error {
 			}
 		}
 	}
-	if err := sn.global.WriteBinary(bw); err != nil {
+	if err := sn.global.tbl.WriteBinary(bw); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(sn.shards))); err != nil {
@@ -164,7 +164,7 @@ func (t *Tabula) Save(w io.Writer) error {
 	// Distinct sample pool, length-prefixed so Load can parallelize the
 	// parse.
 	distinct := sn.distinctSamples()
-	poolIdx := make(map[*dataset.Table]uint32, len(distinct))
+	poolIdx := make(map[*sample]uint32, len(distinct))
 	for i, s := range distinct {
 		poolIdx[s] = uint32(i)
 	}
@@ -174,7 +174,7 @@ func (t *Tabula) Save(w io.Writer) error {
 	var buf bytes.Buffer
 	for _, s := range distinct {
 		buf.Reset()
-		if err := s.WriteBinary(&buf); err != nil {
+		if err := s.tbl.WriteBinary(&buf); err != nil {
 			return err
 		}
 		if err := binary.Write(bw, binary.LittleEndian, uint32(buf.Len())); err != nil {
@@ -291,10 +291,13 @@ func Load(r io.Reader) (*Tabula, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sn.global, err = dataset.ReadBinary(br); err != nil {
+	global, err := dataset.ReadBinary(br)
+	if err != nil {
 		return nil, fmt.Errorf("core: reading global sample: %w", err)
 	}
-	sn.schema = sn.global.Schema()
+	sn.global = &sample{tbl: global}
+	sn.schema = global.Schema()
+	sn.empty = &sample{tbl: dataset.NewTable(sn.schema)}
 
 	var nShards uint32
 	if err := binary.Read(br, binary.LittleEndian, &nShards); err != nil {
@@ -376,13 +379,13 @@ func Load(r io.Reader) (*Tabula, error) {
 	// Parallel reconstruction: decode the sample pool and build each
 	// shard's cube table on all cores.
 	workers := runtime.GOMAXPROCS(0)
-	pool := make([]*dataset.Table, nPool)
+	pool := make([]*sample, nPool)
 	if err := runIndexes(workers, len(blobs), func(i int) error {
 		s, err := dataset.ReadBinary(bytes.NewReader(blobs[i]))
 		if err != nil {
 			return fmt.Errorf("core: reading sample %d: %w", i, err)
 		}
-		pool[i] = s
+		pool[i] = &sample{tbl: s}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -391,7 +394,7 @@ func Load(r io.Reader) (*Tabula, error) {
 	if err := runIndexes(workers, int(nShards), func(si int) error {
 		raw := raws[si]
 		sh := newShard()
-		sh.samples = make([]*dataset.Table, len(raw.sampleRefs))
+		sh.samples = make([]*sample, len(raw.sampleRefs))
 		for i, ref := range raw.sampleRefs {
 			sh.samples[i] = pool[ref]
 		}
@@ -405,13 +408,13 @@ func Load(r io.Reader) (*Tabula, error) {
 	}
 
 	// Recompute footprint stats for the loaded instance.
-	sn.stats.GlobalSampleSize = sn.global.NumRows()
+	sn.stats.GlobalSampleSize = global.NumRows()
 	sn.stats.NumIcebergCells = sn.numIcebergCells()
 	sn.stats.NumPersistedSamples = len(pool)
-	sn.stats.GlobalSampleBytes = sn.global.Footprint()
+	sn.stats.GlobalSampleBytes = global.Footprint()
 	sn.stats.CubeTableBytes = int64(sn.numIcebergCells()) * cubeTableEntryBytes
 	for _, s := range pool {
-		sn.stats.SampleTableBytes += s.Footprint()
+		sn.stats.SampleTableBytes += s.tbl.Footprint()
 	}
 	t.snap.Store(sn)
 	return t, nil

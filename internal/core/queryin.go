@@ -65,7 +65,7 @@ func (t *Tabula) QueryIn(ctx context.Context, conds []ConditionIn) (*QueryResult
 		}
 		if len(codes) == 0 {
 			// No known value matches: empty population.
-			return &QueryResult{Sample: dataset.NewTable(sn.schema), Shard: -1, SampleID: -1, Version: sn.version}, nil
+			return sn.answerEmpty(), nil
 		}
 		codesPerAttr[ai] = codes
 	}
@@ -98,7 +98,7 @@ func (t *Tabula) QueryIn(ctx context.Context, conds []ConditionIn) (*QueryResult
 			addr[ai] = codes[0]
 		}
 	}
-	seen := make(map[*dataset.Table]bool)
+	seen := make(map[*sample]bool)
 	var ordered []*dataset.Table
 	useGlobal := false
 	idx := make([]int, len(dims))
@@ -112,7 +112,7 @@ func (t *Tabula) QueryIn(ctx context.Context, conds []ConditionIn) (*QueryResult
 		if id, ok := sh.cubeTable[key]; ok {
 			if s := sh.samples[id]; !seen[s] {
 				seen[s] = true
-				ordered = append(ordered, s)
+				ordered = append(ordered, s.tbl)
 			}
 		} else {
 			useGlobal = true
@@ -148,7 +148,7 @@ func (t *Tabula) QueryIn(ctx context.Context, conds []ConditionIn) (*QueryResult
 		}
 	}
 	if useGlobal {
-		if err := appendAll(sn.global); err != nil {
+		if err := appendAll(sn.global.tbl); err != nil {
 			return nil, err
 		}
 	}

@@ -41,6 +41,7 @@ import (
 	"github.com/tabula-db/tabula/internal/obs"
 	"github.com/tabula-db/tabula/internal/samgraph"
 	"github.com/tabula-db/tabula/internal/sampling"
+	"github.com/tabula-db/tabula/internal/wire"
 )
 
 // Params configures Tabula initialization — the inputs of the paper's
@@ -160,6 +161,22 @@ func (s Stats) TotalBytes() int64 {
 	return s.GlobalSampleBytes + s.CubeTableBytes + s.SampleTableBytes
 }
 
+// sample is one physical sample the cube serves — a persisted
+// representative, the global sample, or the empty answer — together
+// with its materialized wire bytes. A sample is shared by pointer across
+// the shards that reference it and across successor snapshots, so its
+// bytes are encoded once however many shard generations it outlives.
+//
+// tbl is immutable. wire is the one documented exception to snapshot
+// immutability (DESIGN.md §7.12): a write-once cell that goes from
+// empty to filled on the sample's first serve and never changes after,
+// so a reader that sees bytes sees the only bytes the sample will ever
+// have. It dies with the sample: nothing else refers to it.
+type sample struct {
+	tbl  *dataset.Table
+	wire wire.Cell
+}
+
 // shard is one hash partition of the cell→sample state: the cube-table
 // entries of every cell whose group-key routes here
 // (engine.ShardOfKey), plus the shard-local sample table those entries
@@ -177,7 +194,7 @@ type shard struct {
 	// payload forever.
 	generation uint64
 	cubeTable  map[uint64]int32 // cell key -> shard-local sample id
-	samples    []*dataset.Table // shard-local sample table
+	samples    []*sample        // shard-local sample table
 }
 
 // newShard returns an empty shard at generation 1.
@@ -192,7 +209,7 @@ func (sh *shard) successor() *shard {
 	next := &shard{
 		generation: sh.generation + 1,
 		cubeTable:  make(map[uint64]int32, len(sh.cubeTable)),
-		samples:    append([]*dataset.Table(nil), sh.samples...),
+		samples:    append([]*sample(nil), sh.samples...),
 	}
 	for k, v := range sh.cubeTable {
 		next.cubeTable[k] = v
@@ -214,7 +231,10 @@ type snapshot struct {
 	// lifetime, so successors share it by pointer forever.
 	dict   *dictionary
 	codec  *engine.KeyCodec
-	global *dataset.Table
+	global *sample
+	// empty answers queries that address no population (a value outside
+	// the domain). Its table never holds a row; successors share it.
+	empty *sample
 	// shards partitions the cell→sample state by group-key hash. The
 	// slice has a fixed length for the cube's lifetime; its elements
 	// are copy-on-write (see successor).
@@ -229,8 +249,8 @@ type snapshot struct {
 }
 
 // successor returns a shallow copy of s sharing the immutable pieces
-// (schema, dictionaries, codec, global sample) and the shard pointers
-// themselves. Append replaces just the entries of the touched shards
+// (schema, dictionaries, codec, global and empty samples) and the shard
+// pointers themselves. Append replaces just the entries of the touched shards
 // with shard successors, so untouched shards are structurally shared
 // and keep their generation — the copy-on-write that lets snapshot-
 // scoped caches survive unrelated appends.
@@ -261,14 +281,14 @@ func (s *snapshot) numIcebergCells() int {
 // serve cells in several shards appear in each shard's local table but
 // are one physical table shared by pointer; footprint accounting and
 // persistence both dedupe through this.
-func (s *snapshot) distinctSamples() []*dataset.Table {
-	seen := make(map[*dataset.Table]bool)
-	var out []*dataset.Table
+func (s *snapshot) distinctSamples() []*sample {
+	seen := make(map[*sample]bool)
+	var out []*sample
 	for _, sh := range s.shards {
-		for _, tbl := range sh.samples {
-			if !seen[tbl] {
-				seen[tbl] = true
-				out = append(out, tbl)
+		for _, sam := range sh.samples {
+			if !seen[sam] {
+				seen[sam] = true
+				out = append(out, sam)
 			}
 		}
 	}
@@ -315,6 +335,7 @@ func newSnapshot(schema dataset.Schema, cubedAttrs []string, nShards int) *snaps
 		schema:  schema,
 		attrIdx: make(map[string]int, len(cubedAttrs)),
 		shards:  make([]*shard, nShards),
+		empty:   &sample{tbl: dataset.NewTable(schema)},
 		version: 1,
 	}
 	for i := range sn.shards {
@@ -405,8 +426,8 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 	globalRows := sampling.Random(dataset.FullView(tbl), k, rng)
 	sort.Slice(globalRows, func(i, j int) bool { return globalRows[i] < globalRows[j] })
 	globalView := dataset.NewView(tbl, globalRows)
-	sn.global = globalView.Materialize()
-	sn.stats.GlobalSampleSize = sn.global.NumRows()
+	sn.global = &sample{tbl: globalView.Materialize()}
+	sn.stats.GlobalSampleSize = sn.global.tbl.NumRows()
 	sn.stats.GlobalSampleTime = time.Since(start)
 	doneGlobal()
 
@@ -488,12 +509,12 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 	// cells, partitioning shards — is the tracer's "materialize".
 	doneMaterialize := obs.StartStage(ctx, "materialize")
 	cubeTable := make(map[uint64]int32, len(real.Cells))
-	var samples []*dataset.Table
+	var samples []*sample
 	if sel != nil {
 		repID := make(map[int]int32, len(sel.Representatives))
 		for _, v := range sel.Representatives {
 			id := int32(len(samples))
-			samples = append(samples, dataset.NewView(tbl, real.Cells[v].SampleRows).Materialize())
+			samples = append(samples, &sample{tbl: dataset.NewView(tbl, real.Cells[v].SampleRows).Materialize()})
 			repID[v] = id
 		}
 		for i, c := range real.Cells {
@@ -516,7 +537,7 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 				}
 			}
 			c.SampleID = int32(len(samples))
-			samples = append(samples, dataset.NewView(tbl, c.SampleRows).Materialize())
+			samples = append(samples, &sample{tbl: dataset.NewView(tbl, c.SampleRows).Materialize()})
 			cubeTable[c.Key] = c.SampleID
 		}
 	}
@@ -557,10 +578,10 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 	// Memory accounting (Figure 9's three components). Samples shared
 	// across shards are counted once (distinctSamples dedupes by
 	// pointer).
-	sn.stats.GlobalSampleBytes = sn.global.Footprint()
+	sn.stats.GlobalSampleBytes = sn.global.tbl.Footprint()
 	sn.stats.CubeTableBytes = int64(len(cubeTable)) * cubeTableEntryBytes
 	for _, s := range sn.distinctSamples() {
-		sn.stats.SampleTableBytes += s.Footprint()
+		sn.stats.SampleTableBytes += s.tbl.Footprint()
 	}
 	t.snap.Store(sn)
 	return t, nil
@@ -586,7 +607,7 @@ func (t *Tabula) LossName() string { return t.lossName() }
 func (t *Tabula) CubedAttrs() []string { return append([]string(nil), t.params.CubedAttrs...) }
 
 // GlobalSample returns the materialized global sample.
-func (t *Tabula) GlobalSample() *dataset.Table { return t.snap.Load().global }
+func (t *Tabula) GlobalSample() *dataset.Table { return t.snap.Load().global.tbl }
 
 // NumPersistedSamples returns the sample-table size: the number of
 // distinct persisted sample tables across all shards (a representative
@@ -603,8 +624,15 @@ type Condition struct {
 // QueryResult is the middleware's answer to a dashboard query.
 type QueryResult struct {
 	// Sample is the materialized sample to feed the visualization; never
-	// nil (it may be empty when the queried population is empty).
+	// nil (it may be empty when the queried population is empty). It is
+	// shared with the cube and must not be modified.
 	Sample *dataset.Table
+	// Wire is the write-once cell holding Sample's materialized wire
+	// bytes. It belongs to the physical sample, not to the cell or shard
+	// that led here: two results with the same Sample carry the same
+	// Wire, across shards and across appends the sample survives. It is
+	// nil when Sample was assembled for this answer alone (QueryIn).
+	Wire *wire.Cell
 	// FromGlobal reports whether the global sample answered the query
 	// (non-iceberg cell).
 	FromGlobal bool
@@ -676,7 +704,7 @@ func (t *Tabula) queryOn(sn *snapshot, conds []Condition) (*QueryResult, error) 
 			// shard) was addressed; the identity {-1, 0, -1} is stable
 			// forever because appends can never introduce the value
 			// (domain growth forces a rebuild).
-			return &QueryResult{Sample: dataset.NewTable(sn.schema), Shard: -1, SampleID: -1, Version: sn.version}, nil
+			return sn.answerEmpty(), nil
 		}
 		codes[ai] = code
 	}
@@ -691,9 +719,16 @@ func (sn *snapshot) answerCell(codes []int32) *QueryResult {
 	si := sn.shardOf(key)
 	sh := sn.shards[si]
 	if id, ok := sh.cubeTable[key]; ok {
-		return &QueryResult{Sample: sh.samples[id], CellKey: key, Shard: si, SampleID: id, Generation: sh.generation, Version: sn.version}
+		sam := sh.samples[id]
+		return &QueryResult{Sample: sam.tbl, Wire: &sam.wire, CellKey: key, Shard: si, SampleID: id, Generation: sh.generation, Version: sn.version}
 	}
-	return &QueryResult{Sample: sn.global, FromGlobal: true, CellKey: key, Shard: si, SampleID: -1, Generation: sh.generation, Version: sn.version}
+	return &QueryResult{Sample: sn.global.tbl, Wire: &sn.global.wire, FromGlobal: true, CellKey: key, Shard: si, SampleID: -1, Generation: sh.generation, Version: sn.version}
+}
+
+// answerEmpty is the answer to a query addressing no population: no
+// cell, no shard, the snapshot's empty sample.
+func (sn *snapshot) answerEmpty() *QueryResult {
+	return &QueryResult{Sample: sn.empty.tbl, Wire: &sn.empty.wire, Shard: -1, SampleID: -1, Version: sn.version}
 }
 
 // parseConds parses display-form predicate values against the snapshot's

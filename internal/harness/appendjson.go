@@ -5,6 +5,17 @@ import (
 	"io"
 )
 
+// ServeRow is one timed operation: throughput, time and allocation per
+// call, from the fastest of a few fixed-length passes.
+type ServeRow struct {
+	Name        string  `json:"name"`
+	ReqPerSec   float64 `json:"req_per_sec"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	Iterations  int     `json:"iterations"`
+}
+
 // AppendVariant is one measured shard-count configuration of
 // BENCH_append.json.
 type AppendVariant struct {

@@ -29,7 +29,18 @@ import (
 //     one atomic swap.
 //
 // Everything else — query paths, encoders, serving handlers — may read
-// snapshot and shard fields but never write them. This is what makes
+// snapshot and shard fields but never write them.
+//
+// One documented exception lives outside the analyzer's reach by
+// construction (DESIGN.md §7.12): each sample a snapshot serves carries
+// a write-once wire.Cell that the serving layer fills on the sample's
+// first serve. The cell goes from empty to filled exactly once, through
+// its own Get method (an atomic store under the cell's mutex), and
+// never changes after — so a reader observes no bytes or the final
+// bytes, never a change. Nothing is assigned through a snapshot field,
+// which is why there is nothing here to flag; a plain assignment to a
+// sample's fields from the serving path would still be one if "sample"
+// joined the protected set. This is what makes
 // the per-shard copy-on-write of §7.5 sound: a shard pointer shared
 // between two snapshots is safe exactly because no code path can write
 // through it. Type information, when resolved, confirms the written

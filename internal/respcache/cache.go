@@ -1,22 +1,24 @@
 // Package respcache is a byte-budget LRU cache of fully encoded HTTP
-// response payloads for the serving layer.
+// response bodies for the serving layer. The server keeps one kind of
+// entry in it: the assembled gzip body of a batch viewport.
 //
 // The cache exploits the core package's snapshot invariant: a published
 // cube snapshot and every sample table in it are immutable, and
 // {shard, shard generation, sampleID} names one byte-identical payload
-// forever. Keys embed that identity, so the cache needs no explicit
+// forever. Keys embed those identities, so the cache needs no explicit
 // invalidation — an Append publishes a successor snapshot that bumps
-// only the generations of the shards it touched, new requests for those
-// shards key under the new generations, and the stale entries simply go
-// cold and fall out of the LRU. Entries keyed to untouched shards keep
-// their identities and stay hot across the append. Coherence costs zero
-// locks on the cube side and one short mutex hold here.
+// only the generations of the shards it touched, new requests touching
+// those shards key under the new generations, and the stale entries
+// simply go cold and fall out of the LRU. Entries keyed to untouched
+// shards keep their identities and stay hot across the append.
+// Coherence costs zero locks on the cube side and one short mutex hold
+// here.
 //
 // First hits are deduplicated singleflight-style: when N requests miss
-// the same key concurrently, one caller runs the encode and the other
-// N-1 block on it and share the result, so a popular cell arriving in a
-// thundering herd (a dashboard pan fanning out to many users) is encoded
-// exactly once per snapshot.
+// the same key concurrently, one caller runs the fill and the other N-1
+// block on it and share the result, so a popular viewport arriving in a
+// thundering herd (a dashboard pan fanning out to many users) is
+// assembled exactly once.
 package respcache
 
 import (
@@ -190,8 +192,8 @@ func (c *Cache) Reset() {
 //
 // Sampling at scrape time means the metrics surface costs the Get hot
 // path nothing — the counters the cache already maintains under its
-// mutex ARE the exported numbers, so benchmark reports (MeasureServing)
-// and /metrics can be asserted against each other without drift. Both
+// mutex ARE the exported numbers, so benchmark reports (bench/ reads
+// them over GET /v1/cache) and /metrics cannot drift apart. Both
 // receivers are nil-safe: a nil cache (caching disabled) registers
 // all-zero series, a nil registry registers nothing.
 func (c *Cache) RegisterMetrics(reg *obs.Registry) {

@@ -1,15 +1,15 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"github.com/tabula-db/tabula"
+	"github.com/tabula-db/tabula/internal/wire"
 )
 
 // POST /query/batch answers a whole dashboard viewport in one round
@@ -73,10 +73,11 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	// Dedup: one payload per distinct {shard, generation, class}
 	// identity, in first-appearance order. (A sample shared across
 	// shards ships once per shard — the price of per-shard identities
-	// that survive appends to other shards.) Results are compared on a
-	// packed comparable key, and identity strings are built once per
-	// DISTINCT payload — a 100-cell viewport resolving to a handful of
-	// representative samples no longer allocates 100 identity strings.
+	// that survive appends to other shards — though both copies are the
+	// same resident bytes.) Results are compared on a packed comparable
+	// key, and identity strings are built once per DISTINCT payload — a
+	// 100-cell viewport resolving to a handful of representative samples
+	// no longer allocates 100 identity strings.
 	idents := make([]string, len(results))
 	resultIdx := make([]int, len(results))
 	payloadIdx := make(map[identKey]int, 16)
@@ -105,92 +106,91 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	assemble := func() ([]byte, error) {
-		// Fill the distinct payloads concurrently: each encode is an
-		// independent respcache miss (or hit), and the cache's
-		// singleflight already dedups concurrent encodes of the same
-		// identity across batches — so a cold viewport pays each encode
-		// once, in parallel, with a ctx poll per payload. Errors resolve
-		// to the lowest payload index for determinism.
-		ctx := r.Context()
-		payloads := make([][]byte, len(distinct))
-		err := runPool(runtime.GOMAXPROCS(0), len(distinct), func(j int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			p, err := s.payloadBytes(req.Cube, distinct[j], distinctIdents[j])
+	// Assembled gzip bodies are cached per identity-list hash:
+	// dashboards across users repeat pan positions, so a hot viewport is
+	// stitched once — and stays stitched across appends that miss its
+	// shards — and a cached one is served without looking at a sample.
+	// A body too small to compress is not worth an entry; it falls
+	// through and is laid out again, which at that size costs nothing.
+	if s.gzip && acceptsGzip(r) {
+		body, err := s.cache.Get(viewportKey(req.Cube, ident), func() ([]byte, error) {
+			parts, err := s.viewportParts(r.Context(), req.Cube, results, resultIdx, distinct)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			payloads[j] = p
-			return nil
+			if wire.RawLen(parts) < gzipMinBytes {
+				return nil, errSmallBody
+			}
+			return wire.AppendGzip(make([]byte, 0, wire.GzipLen(parts)), parts), nil
 		})
-		if err != nil {
-			return nil, err
+		if err == nil {
+			s.writeEncoded(w, r, body, true)
+			return
 		}
-		bp := getBuf()
-		b := append(*bp, `{"results":[`...)
-		for i, res := range results {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"payload":`...)
-			b = strconv.AppendInt(b, int64(resultIdx[i]), 10)
-			b = append(b, `,"shard":`...)
-			b = strconv.AppendInt(b, int64(res.Shard), 10)
-			b = append(b, `,"generation":`...)
-			b = strconv.AppendUint(b, res.Generation, 10)
-			if res.FromGlobal {
-				b = append(b, `,"from_global":true}`...)
-			} else {
-				b = append(b, `,"from_global":false}`...)
-			}
+		if !errors.Is(err, errSmallBody) {
+			s.writeErr(w, http.StatusInternalServerError, err)
+			return
 		}
-		b = append(b, `],"payloads":[`...)
-		for i, payload := range payloads {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, payload...)
-		}
-		b = append(b, `]}`...)
-		out := make([]byte, len(b))
-		copy(out, b)
-		*bp = b[:0]
-		putBuf(bp)
-		return out, nil
 	}
-
-	// Whole-viewport bodies are themselves cached per identity-list
-	// hash: dashboards across users repeat pan positions, so a hot
-	// viewport is assembled once — and stays assembled across appends
-	// that miss its shards.
-	body, err := s.cache.Get(cacheKey("v", req.Cube, ident), assemble)
+	parts, err := s.viewportParts(r.Context(), req.Cube, results, resultIdx, distinct)
 	if err != nil {
 		s.writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	h.Set("Content-Type", "application/json")
-	if s.gzip && len(body) >= gzipMinBytes && acceptsGzip(r) {
-		gz, err := s.cache.Get(cacheKey("V", req.Cube, ident), func() ([]byte, error) {
-			return gzipBytes(body)
-		})
-		if err == nil {
-			h.Set("Content-Encoding", "gzip")
-			h.Set("Content-Length", strconv.Itoa(len(gz)))
-			w.WriteHeader(http.StatusOK)
-			if n, err := w.Write(gz); err != nil {
-				s.rlogf(r.Context(), "server: response write failed after %d/%d bytes: %v", n, len(gz), err)
-			}
-			return
+	s.writeParts(w, r, parts)
+}
+
+// errSmallBody keeps a viewport below gzipMinBytes out of the cache; it
+// is served inflated instead.
+var errSmallBody = errors.New("server: viewport body below the gzip threshold")
+
+// viewportParts lays a viewport body out as segments: the envelope —
+// the per-result list, which only this request can know, compressed
+// here — then each distinct payload's resident bytes, comma-separated,
+// then the closing glue. First touches fill their samples' cells one
+// after another, with a ctx poll per payload.
+func (s *Server) viewportParts(ctx context.Context, cube string, results []*tabula.QueryResult, resultIdx []int, distinct []*tabula.QueryResult) ([]*wire.Segment, error) {
+	bp := getBuf()
+	b := append(*bp, `{"results":[`...)
+	for i, res := range results {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		s.rlogf(r.Context(), "server: gzip variant failed, serving identity: %v", err)
+		b = append(b, `{"payload":`...)
+		b = strconv.AppendInt(b, int64(resultIdx[i]), 10)
+		b = append(b, `,"shard":`...)
+		b = strconv.AppendInt(b, int64(res.Shard), 10)
+		b = append(b, `,"generation":`...)
+		b = strconv.AppendUint(b, res.Generation, 10)
+		if res.FromGlobal {
+			b = append(b, `,"from_global":true}`...)
+		} else {
+			b = append(b, `,"from_global":false}`...)
+		}
 	}
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	if n, err := w.Write(body); err != nil {
-		s.rlogf(r.Context(), "server: response write failed after %d/%d bytes: %v", n, len(body), err)
+	b = append(b, `],"payloads":[`...)
+	envelope, err := wire.Compress(b)
+	*bp = b[:0]
+	putBuf(bp)
+	if err != nil {
+		return nil, err
 	}
+	parts := make([]*wire.Segment, 0, 2*len(distinct)+1)
+	parts = append(parts, envelope)
+	for j, res := range distinct {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		payload, err := s.payloadSegment(cube, res)
+		if err != nil {
+			return nil, err
+		}
+		if j > 0 {
+			parts = append(parts, segComma)
+		}
+		parts = append(parts, payload)
+	}
+	return append(parts, segBatchTail), nil
 }
 
 // identKey is the comparable form of a result's cache identity
@@ -211,54 +211,4 @@ func identKeyOf(res *tabula.QueryResult) identKey {
 		sampleID:   res.SampleID,
 		fromGlobal: res.FromGlobal,
 	}
-}
-
-// runPool runs fn(j) for every j in [0, n) on at most `workers`
-// goroutines and returns the lowest-indexed error (deterministic
-// regardless of scheduling). fn runs once per index even after a
-// failure; callers abort early by polling their context inside fn.
-func runPool(workers, n int, fn func(j int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		var firstErr error
-		for j := 0; j < n; j++ {
-			if err := fn(j); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = -1
-	)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(cursor.Add(1) - 1)
-				if j >= n {
-					return
-				}
-				if err := fn(j); err != nil {
-					mu.Lock()
-					if errIdx == -1 || j < errIdx {
-						errIdx, firstErr = j, err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }

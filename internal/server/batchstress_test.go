@@ -1,19 +1,22 @@
 package server
 
 import (
+	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 	"testing"
 )
 
 // Concurrent batch viewports during appends, with the response cache
-// disabled so EVERY request drives the parallel payload miss-fill
-// (runPool fan-out over distinct identities) against snapshots that are
+// disabled so EVERY request assembles its body — first touches of the
+// samples each append rebuilds included — against snapshots that are
 // being republished underneath it. Run under -race via `make check`;
 // each response must still be a complete, well-formed viewport whose
 // payload references are in range.
-func TestConcurrentBatchMissFillDuringAppends(t *testing.T) {
+func TestConcurrentBatchAssemblyDuringAppends(t *testing.T) {
 	_, ts, _ := newCubeServer(t, WithCacheBytes(0))
 
 	payments := []string{"cash", "credit", "dispute", "no charge", "unknown"}
@@ -57,13 +60,29 @@ func TestConcurrentBatchMissFillDuringAppends(t *testing.T) {
 	var clients sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		clients.Add(1)
-		go func() {
+		go func(c int) {
 			defer clients.Done()
 			for i := 0; i < 12; i++ {
-				resp, body := doQuery(t, ts.URL+"/query/batch", map[string]any{"cube": "c", "queries": queries}, nil)
+				// Half the clients take the stitched gzip member, half the
+				// inflated bytes.
+				var hdr map[string]string
+				if c%2 == 0 {
+					hdr = acceptGzip
+				}
+				resp, body := doQuery(t, ts.URL+"/query/batch", map[string]any{"cube": "c", "queries": queries}, hdr)
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("batch: %d %s", resp.StatusCode, body)
 					return
+				}
+				if resp.Header.Get("Content-Encoding") == "gzip" {
+					zr, err := gzip.NewReader(bytes.NewReader(body))
+					if err == nil {
+						body, err = io.ReadAll(zr)
+					}
+					if err != nil {
+						t.Errorf("batch gzip body: %v", err)
+						return
+					}
 				}
 				var out struct {
 					Results []struct {
@@ -86,7 +105,7 @@ func TestConcurrentBatchMissFillDuringAppends(t *testing.T) {
 					}
 				}
 			}
-		}()
+		}(c)
 	}
 	clients.Wait()
 	close(stop)

@@ -10,11 +10,9 @@ import (
 )
 
 // Serving-path benchmarks: req/s (ns/op), B/op and allocs/op for the
-// dashboard hot path. BenchmarkServeQuery is warm-cache repeated-cell
-// traffic — the workload the response cache exists for; the Legacy
-// variant reproduces the pre-cache encoder (per-request []any boxing +
-// encoding/json) as the baseline the BENCH_serve.json ratios are
-// computed against.
+// dashboard hot path, in process. Requests accept gzip, as dashboards
+// do, unless the benchmark says otherwise; bench/ measures the same
+// paths over sockets.
 
 func benchCubeServer(b *testing.B, opts ...Option) *Server {
 	b.Helper()
@@ -66,18 +64,16 @@ func marshalQueryBodies(b *testing.B) [][]byte {
 	return bodies
 }
 
-func serveBench(b *testing.B, s *Server, path string, bodies [][]byte, reset bool) {
+func serveBench(b *testing.B, s *Server, path string, bodies [][]byte, acceptEncoding string) {
 	w := &nullResponseWriter{h: make(http.Header)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if reset {
-			s.cache.Reset()
-		}
 		req, err := http.NewRequest("POST", path, bytes.NewReader(bodies[i%len(bodies)]))
 		if err != nil {
 			b.Fatal(err)
 		}
+		req.Header.Set("Accept-Encoding", acceptEncoding)
 		clear(w.h)
 		w.status = 0
 		s.ServeHTTP(w, req)
@@ -87,30 +83,28 @@ func serveBench(b *testing.B, s *Server, path string, bodies [][]byte, reset boo
 	}
 }
 
-// BenchmarkServeQuery: warm-cache repeated-cell traffic through the
-// full handler (decode, lock-free cube lookup, cached bytes out).
+// BenchmarkServeQuery: repeated-cell traffic through the full handler
+// (decode, lock-free cube lookup, one gzip member stitched from the
+// samples' resident bytes). The first pass over the cells fills them.
 func BenchmarkServeQuery(b *testing.B) {
-	s := benchCubeServer(b)
-	bodies := marshalQueryBodies(b)
-	// Warm every cell once.
-	for i := range bodies {
-		req, _ := http.NewRequest("POST", "/v1/query", bytes.NewReader(bodies[i]))
-		s.ServeHTTP(&nullResponseWriter{h: make(http.Header)}, req)
-	}
-	serveBench(b, s, "/v1/query", bodies, false)
+	serveBench(b, benchCubeServer(b), "/v1/query", marshalQueryBodies(b), "gzip")
 }
 
-// BenchmarkServeQueryCold: every request is a first hit — the cache is
-// dropped per iteration, so this measures the miss path (pooled encode
-// + insert).
-func BenchmarkServeQueryCold(b *testing.B) {
-	s := benchCubeServer(b)
-	serveBench(b, s, "/v1/query", marshalQueryBodies(b), true)
+// BenchmarkServeQueryIdentity: the same traffic from a client that does
+// not accept gzip — every body is inflated from the resident bytes.
+func BenchmarkServeQueryIdentity(b *testing.B) {
+	serveBench(b, benchCubeServer(b), "/v1/query", marshalQueryBodies(b), "identity")
 }
 
-// BenchmarkServeQueryBatch: a 100-cell viewport per request, warm.
+// BenchmarkServeQueryBatch: a 100-cell viewport per request, answered
+// from the assembled-body cache; the Stitch variant disables the cache,
+// so every request compresses the envelope and stitches the member.
 func BenchmarkServeQueryBatch(b *testing.B) {
-	s := benchCubeServer(b)
+	b.Run("cached", func(b *testing.B) { benchBatch(b, benchCubeServer(b)) })
+	b.Run("stitch", func(b *testing.B) { benchBatch(b, benchCubeServer(b, WithCacheBytes(0))) })
+}
+
+func benchBatch(b *testing.B, s *Server) {
 	var queries []map[string]string
 	for len(queries) < 100 {
 		queries = append(queries, benchWheres[len(queries)%len(benchWheres)])
@@ -119,23 +113,7 @@ func BenchmarkServeQueryBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bodies := [][]byte{body}
-	req, _ := http.NewRequest("POST", "/v1/query/batch", bytes.NewReader(body))
-	s.ServeHTTP(&nullResponseWriter{h: make(http.Header)}, req)
-	serveBench(b, s, "/v1/query/batch", bodies, false)
-}
-
-// BenchmarkServeQueryBatchCold: a full-domain 100-query viewport with
-// the cache dropped per iteration, so every distinct cell's payload is
-// re-encoded through the parallel miss-fill (runPool fan-out). This is
-// the scenario behind BENCH_serve.json's batch_parallel rows.
-func BenchmarkServeQueryBatchCold(b *testing.B) {
-	s := benchCubeServer(b)
-	body, err := json.Marshal(map[string]any{"cube": "c", "queries": coldViewport()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	serveBench(b, s, "/v1/query/batch", [][]byte{body}, true)
+	serveBench(b, s, "/v1/query/batch", [][]byte{body}, "gzip")
 }
 
 // BenchmarkServeQueryMetrics is BenchmarkServeQuery with the full
@@ -147,63 +125,23 @@ func BenchmarkServeQueryBatchCold(b *testing.B) {
 func BenchmarkServeQueryMetrics(b *testing.B) {
 	reg := tabula.NewMetricsRegistry()
 	s := benchCubeServer(b, WithMetrics(reg))
-	bodies := marshalQueryBodies(b)
-	for i := range bodies {
-		req, _ := http.NewRequest("POST", "/v1/query", bytes.NewReader(bodies[i]))
-		s.ServeHTTP(&nullResponseWriter{h: make(http.Header)}, req)
-	}
-	serveBench(b, s, "/v1/query", bodies, false)
+	serveBench(b, s, "/v1/query", marshalQueryBodies(b), "gzip")
 	if v, ok := reg.Value("tabula_http_request_duration_seconds",
 		tabula.MetricLabel{Name: "route", Value: "/v1/query"}); !ok || v < float64(b.N) {
 		b.Fatalf("histogram recorded %v observations of at least %d", v, b.N)
 	}
 }
 
-// BenchmarkServeQueryLegacy is the pre-PR serving path, kept verbatim
-// as the comparison baseline: rebuild a [][]any row matrix per request
-// and hand it to encoding/json, no cache, no Content-Length.
-func BenchmarkServeQueryLegacy(b *testing.B) {
+// BenchmarkFillPayload is a sample's first touch: encode its JSON and
+// compress it into a segment, through the pooled buffer and compressor.
+func BenchmarkFillPayload(b *testing.B) {
 	s := benchCubeServer(b)
-	h := legacyQueryHandler(s.db)
-	bodies := marshalQueryBodies(b)
-	w := &nullResponseWriter{h: make(http.Header)}
+	tbl := tabula.GenerateTaxi(1000, 7)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req, err := http.NewRequest("POST", "/v1/query", bytes.NewReader(bodies[i%len(bodies)]))
-		if err != nil {
-			b.Fatal(err)
-		}
-		clear(w.h)
-		w.status = 0
-		h(w, req)
-		if w.status != http.StatusOK {
-			b.Fatalf("status %d", w.status)
+		seg, err := s.payloadSegment("c", &tabula.QueryResult{Sample: tbl})
+		if err != nil || seg.Len == 0 {
+			b.Fatal(seg, err)
 		}
 	}
-}
-
-// BenchmarkEncodeTable isolates the encoder itself: the append-based
-// pooled encoder vs the []any-boxing + encoding/json original.
-func BenchmarkEncodeTable(b *testing.B) {
-	tbl := tabula.GenerateTaxi(1000, 7)
-	b.Run("fast", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf := encodeTableBytes(tbl)
-			if len(buf) == 0 {
-				b.Fatal("empty")
-			}
-		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			sink.Reset()
-			if err := json.NewEncoder(&sink).Encode(legacyEncodeTable(tbl)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"compress/gzip"
 	"hash/fnv"
 	"net/http"
 	"strconv"
@@ -10,26 +9,28 @@ import (
 	"github.com/tabula-db/tabula"
 )
 
-// Shard-scoped response caching and the wire-level fast paths.
+// Response identities, validators and content negotiation.
 //
-// Keying rides the core identity contract that a {shard, shard
-// generation, sample id} triple names immutable bytes forever: the
-// cache identity of a cell response is "s{shard}.g{generation}.{class}"
-// under the cube's name. An Append bumps ONLY the generations of the
-// shards it touched, so responses served from untouched shards keep
-// their identities: their cache entries stay hot and their ETags keep
-// revalidating to 304 across the append. Entries of touched shards key
-// under fresh identities and the stale ones age out of the LRU —
-// invalidation by snapshot swap, no bookkeeping. (Under the old
-// cube-wide generation every append evicted everything; sharding is
-// what lets a streaming cube keep a warm cache.)
+// A cell response is named by the core identity contract: a {shard,
+// shard generation, sample id} triple names immutable bytes forever, so
+// the identity of a response is "s{shard}.g{generation}.{class}" under
+// the cube's name. It is the response's ETag, and the ordered list of a
+// viewport's identities hashes to the viewport's ETag and to the key its
+// assembled body is cached under. An Append bumps ONLY the generations
+// of the shards it touched, so responses served from untouched shards
+// keep their identities — their ETags keep revalidating to 304 and their
+// cached viewports stay hot — while touched shards answer under fresh
+// identities and the stale viewports age out of the LRU: invalidation
+// by snapshot swap, no bookkeeping.
+//
+// Identities name responses, not bytes. The payload bytes belong to the
+// sample (its wire cell, see payloadSegment): one sample reached through
+// two shards, or through a shard before and after an append it
+// survived, has several identities and one set of bytes.
 //
 // The payload class collapses distinct WHERE clauses that resolve to
-// the same bytes: "s<id>" for a persisted sample (shard-local id), "g"
-// for the global sample, "e" for an empty population. Dozens of
-// dashboard cells in one shard that share a representative sample
-// therefore share one cache entry. A sample shared across shards is
-// cached once per shard — the byte cost of append-survival.
+// the same sample: "s<id>" for a persisted sample (shard-local id), "g"
+// for the global sample, "e" for an empty population.
 
 // classOf maps a query result to its payload class.
 func classOf(res *tabula.QueryResult) string {
@@ -43,7 +44,7 @@ func classOf(res *tabula.QueryResult) string {
 	}
 }
 
-// identityOf maps a query result to its cache identity,
+// identityOf maps a query result to its response identity,
 // "s{shard}.g{generation}.{class}". Results that address no cell
 // (unknown value → empty population) carry shard -1 and generation 0,
 // which is stable: the empty payload for a cube's schema never changes.
@@ -53,18 +54,10 @@ func identityOf(res *tabula.QueryResult) string {
 		"." + classOf(res)
 }
 
-// cacheKey builds a cache key. kind distinguishes entry spaces:
-// "p" table payload, "z" gzipped single-query body, "v"/"V" batch body
-// identity/gzip.
-func cacheKey(kind, cube, ident string) string {
-	var b strings.Builder
-	b.Grow(len(kind) + len(cube) + len(ident) + 2)
-	b.WriteString(kind)
-	b.WriteByte('|')
-	b.WriteString(cube)
-	b.WriteByte('|')
-	b.WriteString(ident)
-	return b.String()
+// viewportKey is the response-cache key of a viewport's assembled gzip
+// body, the cache's only kind of entry.
+func viewportKey(cube, ident string) string {
+	return "V|" + cube + "|" + ident
 }
 
 // etagFor builds the strong ETag of a response:
@@ -77,32 +70,38 @@ func etagFor(cube, ident string) string {
 }
 
 // etagMatches reports whether an If-None-Match header value matches the
-// strong etag (handles the comma-separated list form and "*").
+// etag. RFC 9110 §13.1.2 compares If-None-Match weakly: a validator an
+// intermediary weakened to W/"…" while re-encoding the body still names
+// this response. Handles the comma-separated list form and "*".
 func etagMatches(header, etag string) bool {
 	if header == "" {
 		return false
 	}
 	for _, c := range strings.Split(header, ",") {
 		c = strings.TrimSpace(c)
-		if c == "*" || c == etag {
+		if c == "*" || strings.TrimPrefix(c, "W/") == etag {
 			return true
 		}
 	}
 	return false
 }
 
-// acceptsGzip reports whether the client advertises gzip support.
+// acceptsGzip reports whether the client's Accept-Encoding lists gzip
+// with a non-zero weight. A weight that does not parse refuses gzip:
+// the identity encoding is always acceptable.
 func acceptsGzip(r *http.Request) bool {
 	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		enc, q, hasQ := strings.Cut(strings.TrimSpace(part), ";")
+		enc, params, _ := strings.Cut(part, ";")
 		if !strings.EqualFold(strings.TrimSpace(enc), "gzip") {
 			continue
 		}
-		if hasQ {
-			q = strings.TrimSpace(q)
-			if strings.HasPrefix(q, "q=0") && !strings.HasPrefix(q, "q=0.") {
-				return false
+		for _, param := range strings.Split(params, ";") {
+			name, val, _ := strings.Cut(param, "=")
+			if !strings.EqualFold(strings.TrimSpace(name), "q") {
+				continue
 			}
+			q, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
+			return err == nil && q > 0
 		}
 		return true
 	}
@@ -112,42 +111,6 @@ func acceptsGzip(r *http.Request) bool {
 // gzipMinBytes is the identity size below which compressing is not
 // worth the header overhead and the client's inflate call.
 const gzipMinBytes = 512
-
-// gzipBytes compresses b into an exact-size slice via a pooled scratch
-// buffer.
-func gzipBytes(b []byte) ([]byte, error) {
-	bp := getBuf()
-	w := bytesWriter{buf: *bp}
-	// Deferred so the (possibly re-grown) scratch returns to the pool on
-	// the error paths too; gzip encodes happen once per identity, so the
-	// closure is off the per-request path.
-	defer func() {
-		*bp = w.buf[:0]
-		putBuf(bp)
-	}()
-	zw, err := gzip.NewWriterLevel(&w, gzip.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := zw.Write(b); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(w.buf))
-	copy(out, w.buf)
-	return out, nil
-}
-
-// bytesWriter is an io.Writer over a pooled byte slice (bytes.Buffer
-// would hide the backing array from the pool).
-type bytesWriter struct{ buf []byte }
-
-func (w *bytesWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
 
 // viewportHash fingerprints the ordered identity list of a batch
 // response. The body is a pure function of the identities (payload

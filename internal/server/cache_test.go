@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -98,10 +99,59 @@ func TestQueryETagAndNotModified(t *testing.T) {
 		t.Fatalf("304 ETag %q, want %q", got, etag)
 	}
 
+	// If-None-Match compares weakly (RFC 9110 §13.1.2): the validator a
+	// compressing proxy rewrote to W/"…" still names this response, alone
+	// or anywhere in a list.
+	for _, inm := range []string{
+		"W/" + etag,
+		`"stale", ` + etag,
+		`W/"stale",W/` + etag + ` , "other"`,
+		"*",
+	} {
+		resp, body = doQuery(t, ts.URL+"/query", q, map[string]string{"If-None-Match": inm})
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+			t.Errorf("If-None-Match %q: status %d with %d body bytes, want 304", inm, resp.StatusCode, len(body))
+		}
+	}
+
 	// A non-matching validator serves the full body again.
-	resp, body = doQuery(t, ts.URL+"/query", q, map[string]string{"If-None-Match": `"stale"`})
-	if resp.StatusCode != http.StatusOK || len(body) == 0 {
-		t.Fatalf("stale validator: %d, %d bytes", resp.StatusCode, len(body))
+	for _, inm := range []string{`"stale"`, `W/"stale", "other"`, strings.Trim(etag, `"`)} {
+		resp, body = doQuery(t, ts.URL+"/query", q, map[string]string{"If-None-Match": inm})
+		if resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Errorf("If-None-Match %q: %d, %d bytes, want a full 200", inm, resp.StatusCode, len(body))
+		}
+	}
+}
+
+func TestAcceptsGzipWeights(t *testing.T) {
+	for _, tc := range []struct {
+		header string
+		want   bool
+	}{
+		{"", false},
+		{"identity", false},
+		{"gzip", true},
+		{"GZIP", true},
+		{"deflate, gzip", true},
+		{"br;q=1.0, gzip;q=0.8, *;q=0.1", true},
+		{"gzip;q=1", true},
+		{"gzip;q=0.001", true},
+		{"gzip ; Q = 0.5", true},
+		{"gzip;q=0", false},
+		{"gzip;q=0.0", false},
+		{"gzip;q=0.00", false},
+		{"gzip;q=0.000", false},
+		{"gzip; q=0.0", false},
+		{"GZip;Q=0", false},
+		{"deflate;q=1, gzip;q=0.0", false},
+		{"gzip;q=", false},
+		{"gzip;q=abc", false},
+		{"x-gzip-like", false},
+	} {
+		r := &http.Request{Header: http.Header{"Accept-Encoding": {tc.header}}}
+		if got := acceptsGzip(r); got != tc.want {
+			t.Errorf("acceptsGzip(%q) = %v, want %v", tc.header, got, tc.want)
+		}
 	}
 }
 
@@ -183,46 +233,62 @@ func TestGzipNegotiation(t *testing.T) {
 		t.Fatal("gzip variant does not inflate to the identity body")
 	}
 
-	// q=0 opts out.
-	resp, _ = doQuery(t, ts.URL+"/query", q, map[string]string{"Accept-Encoding": "gzip;q=0"})
-	if enc := resp.Header.Get("Content-Encoding"); enc != "" {
-		t.Fatalf("gzip;q=0 got Content-Encoding %q", enc)
+	// A zero weight opts out, however it is spelled.
+	for _, ae := range []string{"gzip;q=0", "gzip;q=0.0"} {
+		resp, _ = doQuery(t, ts.URL+"/query", q, map[string]string{"Accept-Encoding": ae})
+		if enc := resp.Header.Get("Content-Encoding"); enc != "" {
+			t.Fatalf("Accept-Encoding %q got Content-Encoding %q", ae, enc)
+		}
 	}
 }
 
-// Concurrent first hits on a cold cache must encode once: every request
-// either misses (exactly one), joins the in-flight encode, or hits the
-// landed entry.
-func TestConcurrentFirstHitSingleEncode(t *testing.T) {
-	s, ts, _ := newCubeServer(t)
+// N concurrent first touches of one sample fill its cell once: every
+// request is served, by whichever encoding it asked for, from the bytes
+// a single encode produced.
+func TestConcurrentFirstTouchFillsOnce(t *testing.T) {
+	reg := tabula.NewMetricsRegistry()
+	_, ts, cube := newCubeServer(t, WithMetrics(reg))
+	where := map[string]string{"payment_type": "dispute", "vendor_name": "CMT"}
 	const n = 16
+	bodies := make([][]byte, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			resp, body := doQuery(t, ts.URL+"/query", map[string]any{
-				"cube": "c", "where": map[string]string{"payment_type": "cash"},
-			}, nil)
+			enc := []string{"gzip", "identity"}[i%2]
+			resp, body := doQuery(t, ts.URL+"/query", map[string]any{"cube": "c", "where": where},
+				map[string]string{"Accept-Encoding": enc})
 			if resp.StatusCode != http.StatusOK || len(body) == 0 {
 				t.Errorf("status %d, %d bytes", resp.StatusCode, len(body))
 			}
-		}()
+			bodies[i] = body
+		}(i)
 	}
 	wg.Wait()
-	st := s.cache.Stats()
-	if st.Misses != 1 {
-		t.Fatalf("%d cache misses for one cell under concurrency, want 1 (stats %+v)", st.Misses, st)
+	if fills, _ := reg.Value("tabula_wire_fills_total", tabula.MetricLabel{Name: "cube", Value: "c"}); fills != 1 {
+		t.Fatalf("%v fills for %d concurrent first touches of one sample, want 1", fills, n)
 	}
-	if st.Hits+st.Shared != n-1 {
-		t.Fatalf("hits %d + shared %d != %d", st.Hits, st.Shared, n-1)
+	if st := cube.WireStats(); st.CellsFilled != 1 {
+		t.Fatalf("%d cells filled, want 1", st.CellsFilled)
+	}
+	for i := 2; i < n; i++ {
+		if !bytes.Equal(bodies[i], bodies[i%2]) {
+			t.Fatalf("request %d and request %d asked for the same encoding and got different bytes", i, i%2)
+		}
 	}
 }
 
+// The response cache holds assembled gzip viewports and nothing else:
+// single-cell queries never touch it.
 func TestCacheStatsEndpoint(t *testing.T) {
 	_, ts, _ := newCubeServer(t)
-	doQuery(t, ts.URL+"/query", map[string]any{"cube": "c", "where": map[string]string{"payment_type": "cash"}}, nil)
-	doQuery(t, ts.URL+"/query", map[string]any{"cube": "c", "where": map[string]string{"payment_type": "cash"}}, nil)
+	gz := map[string]string{"Accept-Encoding": "gzip"}
+	viewport := map[string]any{"cube": "c", "queries": []map[string]string{{"payment_type": "cash"}, {"payment_type": "dispute"}}}
+	doQuery(t, ts.URL+"/query", map[string]any{"cube": "c", "where": map[string]string{"payment_type": "cash"}}, gz)
+	doQuery(t, ts.URL+"/query/batch", viewport, gz)
+	doQuery(t, ts.URL+"/query/batch", viewport, gz)
+	doQuery(t, ts.URL+"/query/batch", viewport, nil) // identity: assembled, not cached
 	resp, err := http.Get(ts.URL + "/cache")
 	if err != nil {
 		t.Fatal(err)
@@ -232,13 +298,13 @@ func TestCacheStatsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out["enabled"] != true || out["entries"].(float64) < 1 || out["hits"].(float64) < 1 {
+	if out["enabled"] != true || out["entries"].(float64) != 1 || out["misses"].(float64) != 1 || out["hits"].(float64) != 1 {
 		t.Fatalf("cache stats: %v", out)
 	}
 }
 
 // With caching disabled the server still serves correct, conditional,
-// compressed responses — it just re-encodes per request.
+// compressed responses — it just stitches every viewport per request.
 func TestCacheDisabled(t *testing.T) {
 	_, ts, _ := newCubeServer(t, WithCacheBytes(0))
 	q := map[string]any{"cube": "c", "where": map[string]string{"payment_type": "cash"}}

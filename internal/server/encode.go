@@ -4,21 +4,23 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"time"
 
 	"github.com/tabula-db/tabula"
 	"github.com/tabula-db/tabula/internal/dataset"
+	"github.com/tabula-db/tabula/internal/obs"
+	"github.com/tabula-db/tabula/internal/wire"
 )
 
-// The wire encoder. The old path converted every table row into a
-// []any (boxing every scalar), handed the result to encoding/json, and
-// re-serialized per request. This one appends the JSON text straight
-// into a reusable byte buffer with strconv appenders — no boxing, no
-// reflection — and runs only on cache misses; warm traffic serves the
-// cached bytes untouched.
+// The wire encoder. appendTableJSON appends a table's JSON text straight
+// into a byte buffer with strconv appenders — no boxing, no reflection.
+// For a served sample it runs once in the sample's lifetime: the text is
+// compressed into the sample's wire cell (payloadSegment) and every
+// response after that, gzip or not, is made from those bytes.
 
-// bufPool recycles encode buffers across cache misses and batch
-// assemblies. Buffers that grew beyond maxPooledBuf are dropped rather
-// than pinned in the pool forever.
+// bufPool recycles the scratch buffers JSON is encoded into and
+// response bodies are assembled in. Buffers that grew beyond
+// maxPooledBuf are dropped rather than pinned in the pool forever.
 var bufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4<<10)
@@ -41,17 +43,47 @@ func putBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// encodeTableBytes renders the table's wire form into an exact-size
-// slice via a pooled scratch buffer. The result is safe to cache: it
-// aliases nothing.
-func encodeTableBytes(t *tabula.Table) []byte {
-	bp := getBuf()
-	b := appendTableJSON(*bp, t)
-	out := make([]byte, len(b))
-	copy(out, b)
-	*bp = b[:0]
-	putBuf(bp)
-	return out
+// mustSegment compresses a constant part of a response body.
+func mustSegment(raw string) *wire.Segment {
+	seg, err := wire.Compress([]byte(raw))
+	if err != nil {
+		panic(err) // compressing into memory cannot fail
+	}
+	return seg
+}
+
+// The glue between payloads, compressed once at start-up. A /v1/query
+// body is segQueryPrefix, the payload, segFromGlobal[0 or 1]; a batch
+// body is a per-request envelope, the payloads separated by segComma,
+// segBatchTail.
+var (
+	segQueryPrefix = mustSegment(`{"sample":`)
+	segFromGlobal  = [2]*wire.Segment{mustSegment(`,"from_global":false}`), mustSegment(`,"from_global":true}`)}
+	segComma       = mustSegment(`,`)
+	segBatchTail   = mustSegment(`]}`)
+)
+
+// payloadSegment returns the wire bytes of the result's sample. The
+// first touch of a sample encodes and compresses it into the sample's
+// cell; every later one — from any shard, server or snapshot the sample
+// is reachable from — is a pointer load.
+func (s *Server) payloadSegment(cube string, res *tabula.QueryResult) (*wire.Segment, error) {
+	return res.Wire.Get(func() (*wire.Segment, error) {
+		start := time.Now()
+		bp := getBuf()
+		raw := appendTableJSON(*bp, res.Sample)
+		seg, err := wire.Compress(raw)
+		*bp = raw[:0]
+		putBuf(bp)
+		if err != nil {
+			return nil, err
+		}
+		s.wireFill.Observe(time.Since(start).Seconds())
+		s.metrics.Counter("tabula_wire_fills_total",
+			"Samples whose wire bytes were materialized (first touches), by cube.",
+			obs.Label{Name: "cube", Value: cube}).Inc()
+		return seg, nil
+	})
 }
 
 // appendTableJSON appends the JSON wire form of a table:

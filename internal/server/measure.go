@@ -1,241 +1,17 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"runtime"
 	"time"
 
-	"github.com/tabula-db/tabula"
-	"github.com/tabula-db/tabula/internal/dataset"
 	"github.com/tabula-db/tabula/internal/harness"
 )
 
-// MeasureServing produces the BENCH_serve.json report: serving-path
-// throughput, bytes/op and allocs/op through the full handler stack —
-// warm-cache repeated-cell traffic, cold first hits, 100-cell batch
-// viewports, and the retained pre-cache legacy encoder as the
-// comparison baseline. The measured server runs with the full metrics
-// surface armed (the production default); the warm_nometrics scenario
-// repeats the warm workload on a metrics-free server, so the report
-// carries the observability overhead explicitly. Before returning, the
-// report's numbers are cross-checked against the metrics registry —
-// cache hit/miss counters and per-route request counts must agree with
-// what was actually served, or the run fails. It is the
-// machine-readable companion of BenchmarkServeQuery{,Batch,Cold,Legacy,
-// Metrics}, runnable from tabula-bench without the testing harness.
-func MeasureServing(rows int, seed int64, progress io.Writer) (*harness.ServeReport, error) {
-	reg := tabula.NewMetricsRegistry()
-	db := tabula.Open(tabula.WithMetrics(reg))
-	params := tabula.DefaultParams(tabula.NewHistogramLoss("fare_amount"), 1.0, "payment_type", "vendor_name")
-	fprintf(progress, "serve-json: building %d-row cube...\n", rows)
-	cube, err := tabula.Build(tabula.GenerateTaxi(rows, seed), params)
-	if err != nil {
-		return nil, err
-	}
-	db.RegisterCube("c", cube)
-	srv := New(db, WithMetrics(reg))
-	// The same cube behind a metrics-free DB and server: the nil-registry
-	// no-op path the warm_nometrics scenario measures against.
-	dbBare := tabula.Open()
-	dbBare.RegisterCube("c", cube)
-	srvBare := New(dbBare)
-
-	wheres := []map[string]string{
-		{"payment_type": "cash"},
-		{"payment_type": "credit"},
-		{"payment_type": "cash", "vendor_name": "CMT"},
-		{"payment_type": "credit", "vendor_name": "VTS"},
-		{"vendor_name": "CMT"},
-	}
-	queryBodies := make([][]byte, len(wheres))
-	for i, where := range wheres {
-		if queryBodies[i], err = json.Marshal(map[string]any{"cube": "c", "where": where}); err != nil {
-			return nil, err
-		}
-	}
-	var viewport []map[string]string
-	for len(viewport) < 100 {
-		viewport = append(viewport, wheres[len(viewport)%len(wheres)])
-	}
-	batchBody, err := json.Marshal(map[string]any{"cube": "c", "queries": viewport})
-	if err != nil {
-		return nil, err
-	}
-	coldBatchBody, err := json.Marshal(map[string]any{"cube": "c", "queries": coldViewport()})
-	if err != nil {
-		return nil, err
-	}
-
-	w := &discardResponseWriter{h: make(http.Header)}
-	// served counts every request routed through the instrumented server,
-	// per path — the ground truth the registry is audited against.
-	served := make(map[string]int)
-	serve := func(h http.Handler, path string, body []byte) error {
-		req, err := http.NewRequest("POST", path, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		clear(w.h)
-		w.status = 0
-		h.ServeHTTP(w, req)
-		if w.status != http.StatusOK {
-			return fmt.Errorf("%s: status %d", path, w.status)
-		}
-		if h == http.Handler(srv) {
-			served[path]++
-		}
-		return nil
-	}
-
-	legacy := legacyQueryHandler(db)
-	rep := &harness.ServeReport{
-		Rows:       rows,
-		Seed:       seed,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CacheBytes: DefaultCacheBytes,
-	}
-	// warm vs warm_nometrics is a ratio the bench gate enforces, so the
-	// two are measured with interleaved passes: ambient noise (CPU
-	// frequency ramps, a noisy VM neighbor) lands on both sides instead
-	// of skewing whichever ran first.
-	fprintf(progress, "serve-json: measuring warm + warm_nometrics (interleaved)...\n")
-	warmRow, bareRow, err := measurePair(
-		"warm", func(i int) error { return serve(srv, "/v1/query", queryBodies[i%len(queryBodies)]) },
-		"warm_nometrics", func(i int) error { return serve(srvBare, "/v1/query", queryBodies[i%len(queryBodies)]) },
-	)
-	if err != nil {
-		return nil, err
-	}
-	rep.Scenarios = append(rep.Scenarios, warmRow, bareRow)
-	scenarios := []struct {
-		name string
-		op   func(i int) error
-	}{
-		{"cold", func(i int) error { srv.cache.Reset(); return serve(srv, "/v1/query", queryBodies[i%len(queryBodies)]) }},
-		{"batch", func(i int) error { return serve(srv, "/v1/query/batch", batchBody) }},
-		{"legacy", func(i int) error { return serve(legacy, "/v1/query", queryBodies[i%len(queryBodies)]) }},
-	}
-	for _, sc := range scenarios {
-		fprintf(progress, "serve-json: measuring %s...\n", sc.name)
-		row, err := measureOp(sc.name, sc.op)
-		if err != nil {
-			return nil, err
-		}
-		rep.Scenarios = append(rep.Scenarios, row)
-	}
-
-	// batch_parallel_p{1,4}: a COLD full-domain viewport per request —
-	// the cache is dropped each op, so all 19 distinct payload encodes
-	// run through the runPool fan-out — measured at GOMAXPROCS 1 and 4
-	// to report how the parallel miss-fill scales with processors. On a
-	// single-CPU host both land near each other (four goroutines
-	// time-slice one core); the JSON records whatever the hardware
-	// actually delivers.
-	prevProcs := runtime.GOMAXPROCS(0)
-	for _, procs := range []int{1, 4} {
-		name := fmt.Sprintf("batch_parallel_p%d", procs)
-		fprintf(progress, "serve-json: measuring %s...\n", name)
-		runtime.GOMAXPROCS(procs)
-		row, err := measureOp(name, func(i int) error {
-			srv.cache.Reset()
-			return serve(srv, "/v1/query/batch", coldBatchBody)
-		})
-		runtime.GOMAXPROCS(prevProcs)
-		if err != nil {
-			return nil, err
-		}
-		rep.Scenarios = append(rep.Scenarios, row)
-	}
-
-	warm, leg := rep.Scenario("warm"), rep.Scenario("legacy")
-	if warm.NsPerOp > 0 && warm.AllocsPerOp > 0 {
-		rep.WarmSpeedupVsLegacy = leg.NsPerOp / warm.NsPerOp
-		rep.WarmAllocImprovementVsLegacy = leg.AllocsPerOp / warm.AllocsPerOp
-	}
-	p1, p4 := rep.Scenario("batch_parallel_p1"), rep.Scenario("batch_parallel_p4")
-	if p1 != nil && p4 != nil && p4.NsPerOp > 0 {
-		rep.BatchParallelSpeedup = p1.NsPerOp / p4.NsPerOp
-	}
-	if bare := rep.Scenario("warm_nometrics"); bare != nil && bare.NsPerOp > 0 {
-		rep.MetricsOverheadNsPct = (warm.NsPerOp - bare.NsPerOp) / bare.NsPerOp * 100
-		rep.MetricsOverheadAllocsPerOp = warm.AllocsPerOp - bare.AllocsPerOp
-	}
-	if err := auditRegistry(reg, srv, served); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// auditRegistry cross-checks the metrics surface against the run's
-// ground truth: the response-cache counters exported through the
-// registry must equal Cache.Stats (the numbers BENCH reports are built
-// from), and each instrumented route's request counters and latency
-// histogram must account for exactly the requests routed through it.
-// Drift in either direction means a broken registration, not noise, so
-// it fails the measurement run.
-func auditRegistry(reg *tabula.MetricsRegistry, srv *Server, served map[string]int) error {
-	st := srv.cache.Stats()
-	for name, want := range map[string]float64{
-		"tabula_respcache_hits_total":      float64(st.Hits),
-		"tabula_respcache_misses_total":    float64(st.Misses),
-		"tabula_respcache_coalesced_total": float64(st.Shared),
-		"tabula_respcache_evictions_total": float64(st.Evictions),
-	} {
-		got, ok := reg.Value(name)
-		if !ok || got != want {
-			return fmt.Errorf("metrics audit: %s = %v (registered=%v), cache reports %v", name, got, ok, want)
-		}
-	}
-	if st.Hits == 0 {
-		return fmt.Errorf("metrics audit: warm scenarios produced no cache hits")
-	}
-	for path, n := range served {
-		route := tabula.MetricLabel{Name: "route", Value: path}
-		var classes float64
-		for _, class := range []string{"2xx", "3xx", "4xx", "5xx"} {
-			v, _ := reg.Value("tabula_http_requests_total", route, tabula.MetricLabel{Name: "code", Value: class})
-			classes += v
-		}
-		if classes != float64(n) {
-			return fmt.Errorf("metrics audit: route %s counted %v requests, served %d", path, classes, n)
-		}
-		if obs, ok := reg.Value("tabula_http_request_duration_seconds", route); !ok || obs != float64(n) {
-			return fmt.Errorf("metrics audit: route %s latency histogram has %v observations, served %d", path, obs, n)
-		}
-	}
-	return nil
-}
-
-// coldViewport is the full cube domain of the taxi cube — every
-// payment×vendor pair plus the single-attribute rollups (19 distinct
-// cells) — repeated to a 100-query dashboard burst. Unlike the hot
-// `viewport` above, a cache-reset request over this shape pays one
-// payload encode per distinct cell, so the parallel miss-fill is the
-// dominant cost.
-func coldViewport() []map[string]string {
-	payments := []string{"cash", "credit", "no_charge", "dispute"}
-	vendors := []string{"CMT", "DDS", "VTS"}
-	var cells []map[string]string
-	for _, p := range payments {
-		cells = append(cells, map[string]string{"payment_type": p})
-		for _, v := range vendors {
-			cells = append(cells, map[string]string{"payment_type": p, "vendor_name": v})
-		}
-	}
-	for _, v := range vendors {
-		cells = append(cells, map[string]string{"vendor_name": v})
-	}
-	out := make([]map[string]string, 0, 100)
-	for len(out) < 100 {
-		out = append(out, cells[len(out)%len(cells)])
-	}
-	return out
-}
+// The measurement loop behind BENCH_append.json (measure_append.go):
+// timed passes reduced by min, with allocation deltas per operation.
 
 const (
 	passDuration = 350 * time.Millisecond
@@ -306,34 +82,6 @@ func measureOp(name string, op func(i int) error) (harness.ServeRow, error) {
 	return best, nil
 }
 
-// measurePair is measureOp for two scenarios whose ratio matters more
-// than either absolute number: their passes alternate A,B,A,B,... in
-// the same time window, so machine-wide disturbances land on both
-// sides instead of whichever scenario happened to run first, and the
-// per-side minimum is taken across passes as usual.
-func measurePair(nameA string, opA func(i int) error, nameB string, opB func(i int) error) (harness.ServeRow, harness.ServeRow, error) {
-	if err := warmup(opA); err != nil {
-		return harness.ServeRow{}, harness.ServeRow{}, err
-	}
-	if err := warmup(opB); err != nil {
-		return harness.ServeRow{}, harness.ServeRow{}, err
-	}
-	var bestA, bestB harness.ServeRow
-	for pass := 0; pass < passCount; pass++ {
-		rowA, err := onePass(nameA, opA)
-		if err != nil {
-			return harness.ServeRow{}, harness.ServeRow{}, err
-		}
-		rowB, err := onePass(nameB, opB)
-		if err != nil {
-			return harness.ServeRow{}, harness.ServeRow{}, err
-		}
-		bestA = minRow(bestA, rowA, pass == 0)
-		bestB = minRow(bestB, rowB, pass == 0)
-	}
-	return bestA, bestB, nil
-}
-
 // discardResponseWriter drops bodies so measurements see the serving
 // path, not a response buffer.
 type discardResponseWriter struct {
@@ -348,72 +96,5 @@ func (w *discardResponseWriter) WriteHeader(s int)           { w.status = s }
 func fprintf(w io.Writer, format string, args ...any) {
 	if w != nil {
 		fmt.Fprintf(w, format, args...)
-	}
-}
-
-// The pre-PR serving path, retained verbatim as the measured baseline:
-// rebuild a [][]any row matrix per request (boxing every scalar) and
-// hand it to encoding/json — no cache, no Content-Length, no
-// revalidation. BenchmarkServeQueryLegacy and MeasureServing's "legacy"
-// scenario run it; nothing serves it in production.
-
-type legacyTableJSON struct {
-	Columns []string `json:"columns"`
-	Types   []string `json:"types"`
-	Rows    [][]any  `json:"rows"`
-	NumRows int      `json:"num_rows"`
-}
-
-type legacyQueryResponse struct {
-	Sample     *legacyTableJSON `json:"sample,omitempty"`
-	FromGlobal bool             `json:"from_global"`
-}
-
-func legacyEncodeTable(t *tabula.Table) *legacyTableJSON {
-	out := &legacyTableJSON{NumRows: t.NumRows()}
-	for _, f := range t.Schema() {
-		out.Columns = append(out.Columns, f.Name)
-		out.Types = append(out.Types, f.Type.String())
-	}
-	for r := 0; r < t.NumRows(); r++ {
-		row := make([]any, t.NumCols())
-		for c := 0; c < t.NumCols(); c++ {
-			v := t.Value(r, c)
-			switch v.Type {
-			case dataset.Int64:
-				row[c] = v.I
-			case dataset.Float64:
-				row[c] = v.F
-			case dataset.String:
-				row[c] = v.S
-			case dataset.Point:
-				row[c] = []float64{v.P.X, v.P.Y}
-			}
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out
-}
-
-func legacyQueryHandler(db *tabula.DB) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req queryRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		res, err := db.QueryByValues(r.Context(), req.Cube, req.Where)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		if err := json.NewEncoder(w).Encode(legacyQueryResponse{
-			Sample:     legacyEncodeTable(res.Sample),
-			FromGlobal: res.FromGlobal,
-		}); err != nil {
-			log.Printf("server: legacy handler response write failed: %v", err)
-		}
 	}
 }

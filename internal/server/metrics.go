@@ -17,8 +17,8 @@ import (
 // status-recording writer, one time.Now pair, and three atomic
 // operations. With metrics disabled (nil registry) instrument returns
 // the handler unchanged — the instrumented and bare servers run the
-// same code per request except for those atomics, which is what the
-// serve benchmark's metrics-overhead gate measures.
+// same code per request except for those atomics, which is what
+// bench/'s obs.overhead_pct measures.
 
 // statusWriter records the response status and body size flowing
 // through a handler. Instances are pooled; reset reattaches them to the

@@ -23,7 +23,7 @@ func newMetricsServer(t *testing.T) (*obs.Registry, *httptest.Server) {
 	db := tabula.Open(tabula.WithMetrics(reg))
 	params := tabula.DefaultParams(tabula.NewHistogramLoss("fare_amount"), 1.0, "payment_type", "vendor_name")
 	params.EnableAppend = true
-	cube, err := tabula.Build(tabula.GenerateTaxi(2500, 31), params)
+	cube, err := tabula.Build(tabula.GenerateTaxi(3000, 31), params) // newCubeServer's cube: the cell fixtures hold
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +107,10 @@ func TestMetricsExposition(t *testing.T) {
 		"tabula_append_duration_seconds",
 		"tabula_cube_version",
 		"tabula_cube_shard_generation",
+		"tabula_wire_fills_total",
+		"tabula_wire_fill_seconds",
+		"tabula_wire_cells",
+		"tabula_wire_resident_bytes",
 	} {
 		if !families[want] {
 			t.Errorf("family %s missing HELP/TYPE headers", want)
@@ -205,6 +209,65 @@ func TestMetricsHistogramCounts(t *testing.T) {
 	}
 	if classSum != count {
 		t.Fatalf("status-class sum %v != request count %v", classSum, count)
+	}
+}
+
+// TestWireMetrics: a sample's first serve shows up as one fill, one
+// fill-time observation, one more filled cell and its resident bytes —
+// and never again for that sample — while GET /v1/stats reports the
+// same bytes beside, not inside, the cube's footprint.
+func TestWireMetrics(t *testing.T) {
+	_, ts := newMetricsServer(t)
+	_, series := scrape(t, ts.URL)
+	if got := series[`tabula_wire_cells{cube="c"}`] + series[`tabula_wire_resident_bytes{cube="c"}`] + series[`tabula_wire_fill_seconds_count`]; got != 0 {
+		t.Fatalf("wire series before any serve: %v", series)
+	}
+	_, before := getJSON(t, ts.URL+"/v1/stats?cube=c")
+
+	queries := []map[string]string{cellIceberg, cellGlobal, cellIceberg, cellSharedA, cellSharedB}
+	for round := 0; round < 2; round++ {
+		for _, where := range queries {
+			doQuery(t, ts.URL+"/v1/query", map[string]any{"cube": "c", "where": where}, acceptGzip)
+		}
+		doQuery(t, ts.URL+"/v1/query/batch", map[string]any{"cube": "c", "queries": queries}, nil)
+	}
+	_, series = scrape(t, ts.URL)
+	// The iceberg cell's sample, the global sample, and the one sample
+	// behind the two shared cells.
+	const distinct = 3
+	for name, want := range map[string]float64{
+		`tabula_wire_fills_total{cube="c"}`:                        distinct,
+		`tabula_wire_fill_seconds_count`:                           distinct,
+		`tabula_wire_fill_seconds_bucket{le="+Inf"}`:               distinct,
+		`tabula_wire_cells{cube="c"}`:                              distinct,
+		`tabula_respcache_misses_total`:                            0, // single queries and identity viewports bypass the cache
+		`tabula_http_requests_total{code="2xx",route="/v1/query"}`: float64(2 * len(queries)),
+	} {
+		if got := series[name]; got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	resident := series[`tabula_wire_resident_bytes{cube="c"}`]
+	if resident <= 0 {
+		t.Fatalf("tabula_wire_resident_bytes = %v after %d fills", resident, distinct)
+	}
+
+	_, after := getJSON(t, ts.URL+"/v1/stats?cube=c")
+	if after["wire_bytes"] != resident || after["wire_cells_filled"] != float64(distinct) {
+		t.Errorf("/v1/stats reports wire_bytes %v in %v cells, the gauges %v in %d", after["wire_bytes"], after["wire_cells_filled"], resident, distinct)
+	}
+	if before["wire_bytes"] != 0.0 || before["wire_cells_filled"] != 0.0 {
+		t.Errorf("/v1/stats before any serve: wire_bytes %v, wire_cells_filled %v", before["wire_bytes"], before["wire_cells_filled"])
+	}
+	// Fig. 9's three components stay exact: filling cells moves none of
+	// them, and total_bytes is still their sum.
+	for _, k := range []string{"global_sample_bytes", "cube_table_bytes", "sample_table_bytes", "total_bytes"} {
+		if after[k] != before[k] {
+			t.Errorf("/v1/stats %s moved from %v to %v when cells were filled", k, before[k], after[k])
+		}
+	}
+	if sum := after["global_sample_bytes"].(float64) + after["cube_table_bytes"].(float64) + after["sample_table_bytes"].(float64); after["total_bytes"] != sum {
+		t.Errorf("total_bytes %v is not the sum of its three components %v", after["total_bytes"], sum)
 	}
 }
 

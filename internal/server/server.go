@@ -25,15 +25,19 @@
 // generated — echoed in the response and threaded through the request
 // context into error logs.
 //
-// The serving path is built around the cube's snapshot immutability:
-// query responses are encoded once per {cube, shard, shard generation,
-// sample} and then served from a byte-budget LRU as pre-encoded bytes
-// with strong ETags (If-None-Match → 304), precomputed Content-Length,
-// and cached gzip variants negotiated via Accept-Encoding. An Append
-// bumps only the generations of the shards it touched, so entries and
-// ETags of untouched shards survive the append while stale ones age
-// out of the LRU naturally — cache coherence costs no locks and no
-// invalidation protocol.
+// The serving path is built around the cube's immutability. A sample's
+// wire bytes are materialized once, on its first serve, into a
+// write-once cell the cube keeps beside the sample (internal/wire): its
+// JSON, compressed on its own. Every 200 after that is stitched from
+// those bytes — one gzip member by concatenation when the client
+// accepts gzip, the same bytes inflated when it does not — with a
+// Content-Length that is a sum. Responses carry strong ETags naming
+// {cube, shard, shard generation, sample} (If-None-Match → 304); an
+// Append bumps only the generations of the shards it touched, so ETags
+// of untouched shards survive it, and a sample that survives in a
+// touched shard answers under a new ETag with the bytes it already
+// had. The one cache left is a byte-budget LRU of assembled gzip
+// viewport bodies, keyed by the viewport's identity list.
 package server
 
 import (
@@ -49,9 +53,11 @@ import (
 	"github.com/tabula-db/tabula/internal/dataset"
 	"github.com/tabula-db/tabula/internal/obs"
 	"github.com/tabula-db/tabula/internal/respcache"
+	"github.com/tabula-db/tabula/internal/wire"
 )
 
-// DefaultCacheBytes is the response cache's default byte budget.
+// DefaultCacheBytes is the default byte budget of the response cache,
+// which holds assembled gzip viewport bodies.
 const DefaultCacheBytes = 64 << 20
 
 // Server wraps a tabula.DB with HTTP handlers. Every handler passes the
@@ -64,8 +70,11 @@ type Server struct {
 	cache   *respcache.Cache
 	gzip    bool
 	metrics *obs.Registry
-	pprof   bool
-	logf    func(format string, args ...any)
+	// wireFill times first touches of samples (tabula_wire_fill_seconds):
+	// the encode-and-compress cost no longer shows up as a cache miss.
+	wireFill *obs.Histogram
+	pprof    bool
+	logf     func(format string, args ...any)
 }
 
 // Option configures a Server. The server mirrors tabula.Open's
@@ -73,8 +82,8 @@ type Server struct {
 type Option func(*Server)
 
 // WithCacheBytes sets the response cache's byte budget. A budget <= 0
-// disables caching (every request re-encodes, still via the pooled
-// fast encoder).
+// disables it: every viewport body is stitched anew from the samples'
+// resident bytes.
 func WithCacheBytes(n int64) Option {
 	return func(s *Server) { s.cache = respcache.New(n) }
 }
@@ -119,6 +128,8 @@ func New(db *tabula.DB, opts ...Option) *Server {
 		o(s)
 	}
 	s.cache.RegisterMetrics(s.metrics)
+	s.wireFill = s.metrics.Histogram("tabula_wire_fill_seconds",
+		"Time to encode and compress a sample's wire bytes on its first touch.", obs.LatencyBuckets)
 
 	// Each API route serves under /v1 and, for compatibility, at its
 	// pre-versioning path; the legacy alias answers identically but
@@ -267,24 +278,41 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// Single-query bodies are assembled as prefix + cached payload +
-// suffix, so the identity fast path writes the shared payload bytes
-// with zero copies and zero per-request encoding.
-const queryBodyPrefix = `{"sample":`
-
-func queryBodySuffix(fromGlobal bool) string {
-	if fromGlobal {
-		return `,"from_global":true}`
+// writeEncoded writes a 200 whose body is already in its wire encoding.
+func (s *Server) writeEncoded(w http.ResponseWriter, r *http.Request, body []byte, gzipped bool) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	if gzipped {
+		h.Set("Content-Encoding", "gzip")
 	}
-	return `,"from_global":false}`
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	if n, err := w.Write(body); err != nil {
+		s.rlogf(r.Context(), "server: response write failed after %d/%d bytes: %v", n, len(body), err)
+	}
 }
 
-// payloadBytes returns the cached wire form of the result's sample,
-// encoding it (deduplicated singleflight-style) on first touch.
-func (s *Server) payloadBytes(cube string, res *tabula.QueryResult, ident string) ([]byte, error) {
-	return s.cache.Get(cacheKey("p", cube, ident), func() ([]byte, error) {
-		return encodeTableBytes(res.Sample), nil
-	})
+// writeParts serves a body held as segments: stitched into one gzip
+// member when the client accepts gzip and the body is worth it, inflated
+// otherwise — the same resident bytes either way, through a pooled
+// buffer and one Write.
+func (s *Server) writeParts(w http.ResponseWriter, r *http.Request, parts []*wire.Segment) {
+	gzipped := s.gzip && wire.RawLen(parts) >= gzipMinBytes && acceptsGzip(r)
+	bp := getBuf()
+	var body []byte
+	var err error
+	if gzipped {
+		body = wire.AppendGzip(*bp, parts)
+	} else {
+		body, err = wire.AppendIdentity(*bp, parts)
+	}
+	if err == nil {
+		s.writeEncoded(w, r, body, gzipped)
+	} else {
+		s.writeErr(w, http.StatusInternalServerError, err)
+	}
+	*bp = body[:0]
+	putBuf(bp)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -316,49 +344,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	payload, err := s.payloadBytes(req.Cube, res, ident)
+	payload, err := s.payloadSegment(req.Cube, res)
 	if err != nil {
 		s.writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	suffix := queryBodySuffix(res.FromGlobal)
-	bodyLen := len(queryBodyPrefix) + len(payload) + len(suffix)
-	h.Set("Content-Type", "application/json")
-
-	if s.gzip && bodyLen >= gzipMinBytes && acceptsGzip(r) {
-		gz, err := s.cache.Get(cacheKey("z", req.Cube, ident), func() ([]byte, error) {
-			bp := getBuf()
-			full := append(*bp, queryBodyPrefix...)
-			full = append(full, payload...)
-			full = append(full, suffix...)
-			out, err := gzipBytes(full)
-			*bp = full[:0]
-			putBuf(bp)
-			return out, err
-		})
-		if err == nil {
-			h.Set("Content-Encoding", "gzip")
-			h.Set("Content-Length", strconv.Itoa(len(gz)))
-			w.WriteHeader(http.StatusOK)
-			if n, err := w.Write(gz); err != nil {
-				s.rlogf(r.Context(), "server: response write failed after %d/%d bytes: %v", n, len(gz), err)
-			}
-			return
-		}
-		s.rlogf(r.Context(), "server: gzip variant failed, serving identity: %v", err)
+	fromGlobal := 0
+	if res.FromGlobal {
+		fromGlobal = 1
 	}
-
-	h.Set("Content-Length", strconv.Itoa(bodyLen))
-	w.WriteHeader(http.StatusOK)
-	written := 0
-	for _, part := range [3][]byte{[]byte(queryBodyPrefix), payload, []byte(suffix)} {
-		n, err := w.Write(part)
-		written += n
-		if err != nil {
-			s.rlogf(r.Context(), "server: response write failed after %d/%d bytes: %v", written, bodyLen, err)
-			return
-		}
-	}
+	s.writeParts(w, r, []*wire.Segment{segQueryPrefix, payload, segFromGlobal[fromGlobal]})
 }
 
 // handleCacheStats reports the response cache's counters plus each
@@ -465,7 +460,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, fmt.Errorf("unknown cube %q", name))
 		return
 	}
-	st := cube.Stats()
+	st, wst := cube.Stats(), cube.WireStats()
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"loss":                cube.LossName(),
 		"theta":               cube.Theta(),
@@ -483,6 +478,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"cube_table_bytes":    st.CubeTableBytes,
 		"sample_table_bytes":  st.SampleTableBytes,
 		"total_bytes":         st.TotalBytes(),
+		"wire_bytes":          wst.Bytes,
+		"wire_cells_filled":   wst.CellsFilled,
 		"init_ms":             st.InitTime.Milliseconds(),
 		"dry_run_ms":          st.DryRunTime.Milliseconds(),
 		"real_run_ms":         st.RealRunTime.Milliseconds(),
