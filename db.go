@@ -293,7 +293,8 @@ func (db *DB) QueryByValues(ctx context.Context, cube string, where map[string]s
 }
 
 // QueryBatchByValues answers a whole viewport of display-form queries
-// against ONE atomically loaded snapshot of the cube.
+// against ONE atomically loaded snapshot of the cube, on the calling
+// goroutine, failing with the lowest-indexed bad query's error.
 //
 // Deprecated: use Do with QueryRequest.Batch.
 func (db *DB) QueryBatchByValues(ctx context.Context, cube string, queries []map[string]string) ([]*QueryResult, error) {

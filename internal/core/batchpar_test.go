@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -44,16 +43,16 @@ func viewportQueries() []map[string]string {
 			}
 		}
 	}
-	// Repeat the viewport so the batch is comfortably larger than the
-	// worker count and every cell appears several times.
+	// Repeat the viewport so every cell appears several times.
 	out = append(out, out...)
 	return out
 }
 
-// The parallel batch is an execution strategy, not a semantic one: at
-// any worker count and any shard count, QueryBatchByValues must produce
-// byte-identical results to the sequential walk — same samples, same
-// identities, same versions, in the same order.
+// A batch is the one-query path run over a viewport against one
+// snapshot: at any shard count, QueryBatchByValues must produce
+// byte-identical results to answering each query on its own — same
+// samples, same identities, same versions, in the same order — and
+// two runs of the same batch must agree.
 func TestQueryBatchParallelDeterminism(t *testing.T) {
 	queries := viewportQueries()
 	for _, shards := range []int{1, 16} {
@@ -65,38 +64,34 @@ func TestQueryBatchParallelDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		tab.params.Workers = 1
-		ref, err := tab.QueryBatchByValues(context.Background(), queries)
-		if err != nil {
-			t.Fatalf("S=%d sequential batch: %v", shards, err)
-		}
-		refPrints := make([]string, len(ref))
-		for i, res := range ref {
+		refPrints := make([]string, len(queries))
+		for i, q := range queries {
+			res, err := tab.QueryByValues(context.Background(), q)
+			if err != nil {
+				t.Fatalf("S=%d query %d: %v", shards, i, err)
+			}
 			refPrints[i] = resFingerprint(res)
 		}
-
-		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-			tab.params.Workers = workers
+		for run := 0; run < 2; run++ {
 			got, err := tab.QueryBatchByValues(context.Background(), queries)
 			if err != nil {
-				t.Fatalf("S=%d workers=%d: %v", shards, workers, err)
+				t.Fatalf("S=%d run %d: %v", shards, run, err)
 			}
-			if len(got) != len(ref) {
-				t.Fatalf("S=%d workers=%d: %d results, want %d", shards, workers, len(got), len(ref))
+			if len(got) != len(queries) {
+				t.Fatalf("S=%d run %d: %d results, want %d", shards, run, len(got), len(queries))
 			}
 			for i, res := range got {
 				if fp := resFingerprint(res); fp != refPrints[i] {
-					t.Fatalf("S=%d workers=%d: query %d diverged from sequential:\n got %s\nwant %s",
-						shards, workers, i, fp, refPrints[i])
+					t.Fatalf("S=%d run %d: query %d diverged from the one-query path:\n got %s\nwant %s",
+						shards, run, i, fp, refPrints[i])
 				}
 			}
 		}
 	}
 }
 
-// A failing batch must fail identically at any worker count: same error
-// message, naming the lowest-indexed bad query — even when a worker
-// processing a later query hits its (different) error first.
+// A failing batch fails with the lowest-indexed bad query's error, and
+// the same error every time.
 func TestQueryBatchParallelErrorDeterminism(t *testing.T) {
 	p := DefaultParams(loss.NewHistogram("fare"), 1.0, "distance", "passengers", "payment")
 	p.Seed = 11
@@ -110,27 +105,41 @@ func TestQueryBatchParallelErrorDeterminism(t *testing.T) {
 	queries[40] = map[string]string{"passengers": "not-a-number"} // parse error
 	queries[70] = map[string]string{"fare": "12.5"}               // in schema, not cubed
 
-	tab.params.Workers = 1
 	_, refErr := tab.QueryBatchByValues(context.Background(), queries)
 	if refErr == nil {
-		t.Fatal("sequential batch with bad queries succeeded")
+		t.Fatal("batch with bad queries succeeded")
 	}
 	if !strings.HasPrefix(refErr.Error(), "query 40:") {
-		t.Fatalf("sequential error %q does not name the lowest bad query", refErr)
+		t.Fatalf("error %q does not name the lowest bad query", refErr)
 	}
-	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		tab.params.Workers = workers
-		_, err := tab.QueryBatchByValues(context.Background(), queries)
-		if err == nil {
-			t.Fatalf("workers=%d: batch with bad queries succeeded", workers)
-		}
-		if err.Error() != refErr.Error() {
-			t.Fatalf("workers=%d: error %q, sequential said %q", workers, err, refErr)
+	_, single := tab.QueryByValues(context.Background(), queries[40])
+	if want := "query 40: " + single.Error(); refErr.Error() != want {
+		t.Fatalf("error %q, want %q", refErr, want)
+	}
+	for run := 0; run < 3; run++ {
+		if _, err := tab.QueryBatchByValues(context.Background(), queries); err == nil || err.Error() != refErr.Error() {
+			t.Fatalf("run %d: error %v, first run said %q", run, err, refErr)
 		}
 	}
 }
 
-// A cancelled context stops a parallel batch mid-flight with ctx.Err().
+// cancelAfter is a context whose Err reports Canceled from its n-th
+// call on: a cancellation that lands in the middle of a batch.
+type cancelAfter struct {
+	context.Context
+	calls, n int
+}
+
+func (c *cancelAfter) Err() error {
+	c.calls++
+	if c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A context cancelled mid-batch stops the batch with ctx.Err() before
+// the next query, and one cancelled up front stops it before the first.
 func TestQueryBatchParallelCancellation(t *testing.T) {
 	p := DefaultParams(loss.NewHistogram("fare"), 1.0, "distance", "passengers", "payment")
 	p.Seed = 11
@@ -138,10 +147,17 @@ func TestQueryBatchParallelCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab.params.Workers = 4
-	ctx, cancel := context.WithCancel(context.Background())
+	queries := viewportQueries()
+	ctx := &cancelAfter{Context: context.Background(), n: 10}
+	if _, err := tab.QueryBatchByValues(ctx, queries); err != context.Canceled {
+		t.Fatalf("batch cancelled mid-flight returned %v, want context.Canceled", err)
+	}
+	if ctx.calls != ctx.n {
+		t.Fatalf("batch polled ctx %d times after cancellation at poll %d", ctx.calls, ctx.n)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tab.QueryBatchByValues(ctx, viewportQueries()); err != context.Canceled {
+	if _, err := tab.QueryBatchByValues(cancelled, queries); err != context.Canceled {
 		t.Fatalf("cancelled batch returned %v, want context.Canceled", err)
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,7 +75,9 @@ type Params struct {
 	// governs every init stage: the dry-run base scan and lattice
 	// derivation, the real-run per-cell samplers, and the SamGraph
 	// similarity join (the join's own SamGraph.Workers, when set,
-	// takes precedence for that stage).
+	// takes precedence for that stage) — and Append's per-shard
+	// maintenance, which is a partial rebuild. It bounds building only:
+	// queries, batches included, resolve on the caller's goroutine.
 	Workers int
 	// EnableAppend keeps the raw table, encoding, and per-cell loss
 	// states alive after Build so Append can maintain the cube
@@ -708,21 +709,25 @@ func (t *Tabula) queryOn(sn *snapshot, conds []Condition) (*QueryResult, error) 
 		}
 		codes[ai] = code
 	}
-	return sn.answerCell(codes), nil
+	res := new(QueryResult)
+	sn.answerCell(res, codes)
+	return res, nil
 }
 
-// answerCell addresses the cell encoded by codes and assembles its
-// answer: the shard-local sample when the cell is iceberg, the global
-// sample otherwise. codes is not retained.
-func (sn *snapshot) answerCell(codes []int32) *QueryResult {
+// answerCell addresses the cell encoded by codes and writes its answer
+// into dst: the shard-local sample when the cell is iceberg, the global
+// sample otherwise. codes is not retained; dst may be a slot of a
+// batch's one backing array.
+func (sn *snapshot) answerCell(dst *QueryResult, codes []int32) {
 	key := sn.codec.Encode(codes)
 	si := sn.shardOf(key)
 	sh := sn.shards[si]
 	if id, ok := sh.cubeTable[key]; ok {
 		sam := sh.samples[id]
-		return &QueryResult{Sample: sam.tbl, Wire: &sam.wire, CellKey: key, Shard: si, SampleID: id, Generation: sh.generation, Version: sn.version}
+		*dst = QueryResult{Sample: sam.tbl, Wire: &sam.wire, CellKey: key, Shard: si, SampleID: id, Generation: sh.generation, Version: sn.version}
+		return
 	}
-	return &QueryResult{Sample: sn.global.tbl, Wire: &sn.global.wire, FromGlobal: true, CellKey: key, Shard: si, SampleID: -1, Generation: sh.generation, Version: sn.version}
+	*dst = QueryResult{Sample: sn.global.tbl, Wire: &sn.global.wire, FromGlobal: true, CellKey: key, Shard: si, SampleID: -1, Generation: sh.generation, Version: sn.version}
 }
 
 // answerEmpty is the answer to a query addressing no population: no
@@ -759,50 +764,57 @@ func (sn *snapshot) parseConds(conds map[string]string) ([]Condition, error) {
 	return out, nil
 }
 
-// queryValuesOn resolves one display-form query against sn. The fast
-// path is two map hits per predicate — attribute name → position,
-// display string → code — with zero sorts, zero parses, and a pooled
-// address scratch. Anything surprising (attribute not cubed, display
-// miss) falls back to the sorted parse-then-resolve slow path, which
-// reproduces the pre-dictionary behaviour verbatim; since map iteration
-// order is random, the fast path must never answer a query the slow
-// path would reject (or vice versa) — bailing out wholesale on the
-// first surprise is what keeps answers and error messages deterministic
-// and byte-identical to the sequential path.
+// queryValuesOn resolves one display-form query against sn into dst.
+// The fast path is two map hits per predicate — attribute name →
+// position, display string → code — with zero sorts, zero parses, and a
+// pooled address scratch. Anything surprising (attribute not cubed,
+// display miss) falls back to the sorted parse-then-resolve slow path,
+// which reproduces the pre-dictionary behaviour verbatim; since map
+// iteration order is random, the fast path must never answer a query
+// the slow path would reject (or vice versa) — bailing out wholesale on
+// the first surprise is what keeps answers and error messages
+// deterministic. dst is written only on success.
 // The pooled scratch is released at exactly one site: resolveCell is
 // done with the codes by the time it returns, so the release happens
 // before either branch — a shape poolpair verifies path-free, with no
 // per-query defer allocation on the fast path.
-func (t *Tabula) queryValuesOn(sn *snapshot, conds map[string]string) (*QueryResult, error) {
+func (t *Tabula) queryValuesOn(sn *snapshot, conds map[string]string, dst *QueryResult) error {
 	cp := getCodes(len(sn.attrVals))
-	res, ok := sn.resolveCell(*cp, conds)
+	ok := sn.resolveCell(dst, *cp, conds)
 	putCodes(cp)
-	if !ok {
-		return t.queryValuesSlow(sn, conds)
+	if ok {
+		return nil
 	}
-	return res, nil
+	res, err := t.queryValuesSlow(sn, conds)
+	if err != nil {
+		return err
+	}
+	*dst = *res
+	return nil
 }
 
 // resolveCell resolves display-form predicates into the codes scratch
-// and answers the cell, reporting ok=false on the first surprise —
-// attribute not cubed, or display form absent from the dictionary: a
-// parse error, a non-canonical spelling of a known value, or an
-// unknown value (whose empty-population answer depends on sorted
+// and answers the cell into dst, reporting ok=false on the first
+// surprise — attribute not cubed, or display form absent from the
+// dictionary: a parse error, a non-canonical spelling of a known value,
+// or an unknown value (whose empty-population answer depends on sorted
 // attribute order when mixed with errors). All deterministic via the
-// slow path; none hot. The scratch is not retained past the return.
-func (sn *snapshot) resolveCell(codes []int32, conds map[string]string) (*QueryResult, bool) {
+// slow path; none hot. The scratch is not retained past the return,
+// and dst is untouched when ok is false.
+func (sn *snapshot) resolveCell(dst *QueryResult, codes []int32, conds map[string]string) bool {
 	for a, s := range conds {
 		ai, ok := sn.attrIdx[a]
 		if !ok {
-			return nil, false
+			return false
 		}
 		code, ok := sn.dict.displayCode(ai, s)
 		if !ok {
-			return nil, false
+			return false
 		}
 		codes[ai] = code
 	}
-	return sn.answerCell(codes), true
+	sn.answerCell(dst, codes)
+	return true
 }
 
 // queryValuesSlow is the deterministic display-form slow path: the
@@ -826,7 +838,11 @@ func (t *Tabula) QueryByValues(ctx context.Context, conds map[string]string) (*Q
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return t.queryValuesOn(t.snap.Load(), conds)
+	res := new(QueryResult)
+	if err := t.queryValuesOn(t.snap.Load(), conds, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // QueryBatchByValues answers a whole batch of display-form queries — a
@@ -837,86 +853,27 @@ func (t *Tabula) QueryByValues(ctx context.Context, conds map[string]string) (*Q
 // (unknown attribute, bad value) fails the whole batch with the
 // lowest-indexed query's error.
 //
-// The batch fans out over a bounded worker pool (Params.Workers, 0 =
-// GOMAXPROCS) against the single loaded snapshot. Results are written
-// by index and errors are selected by lowest index after the pool
-// drains, so the answer — success or failure — is byte-identical at any
-// worker count. Workers poll ctx before every query, so a disconnected
-// dashboard stops paying for a 4096-query batch mid-flight; a cancelled
-// batch reports ctx.Err().
+// The batch resolves on the calling goroutine, in query order, and all
+// its results live in one backing array: a cell costs two map hits, so
+// a goroutine fan-out costs more than it saves (DESIGN.md §7.6). ctx is
+// polled before every query, so a disconnected dashboard stops paying
+// for a 4096-query batch mid-flight; a cancelled batch reports
+// ctx.Err().
 func (t *Tabula) QueryBatchByValues(ctx context.Context, queries []map[string]string) ([]*QueryResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sn := t.snap.Load()
+	results := make([]QueryResult, len(queries))
 	out := make([]*QueryResult, len(queries))
-	workers := t.params.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 {
-		for i, q := range queries {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			res, err := t.queryValuesOn(sn, q)
-			if err != nil {
-				return nil, fmt.Errorf("query %d: %w", i, err)
-			}
-			out[i] = res
-		}
-		return out, nil
-	}
-
-	// firstErr tracks the lowest-indexed failure; resolution errors do
-	// not abort the remaining queries (the batch fails as a whole with a
-	// deterministic error regardless of scheduling), only cancellation
-	// stops the workers.
-	var (
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = -1
-	)
-	setErr := func(i int, err error) {
-		mu.Lock()
-		if errIdx == -1 || i < errIdx {
-			errIdx, firstErr = i, err
-		}
-		mu.Unlock()
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1) - 1)
-				if i >= len(queries) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					setErr(i, err)
-					return
-				}
-				res, err := t.queryValuesOn(sn, queries[i])
-				if err != nil {
-					setErr(i, fmt.Errorf("query %d: %w", i, err))
-					continue
-				}
-				out[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
+	for i, q := range queries {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return nil, firstErr
+		if err := t.queryValuesOn(sn, q, &results[i]); err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+		out[i] = &results[i]
 	}
 	return out, nil
 }

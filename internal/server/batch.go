@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -39,50 +38,54 @@ import (
 // maxBatchQueries bounds one viewport request.
 const maxBatchQueries = 4096
 
-type batchRequest struct {
-	Cube string `json:"cube"`
-	// Queries are WHERE clauses in display form, one per cell.
-	Queries []map[string]string `json:"queries"`
-}
-
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	qb := getQueryBody()
+	defer putQueryBody(qb)
+	if err := qb.read(w, r, true); err != nil {
+		s.writeBodyErr(w, err)
 		return
 	}
-	if len(req.Queries) == 0 {
+	cube, queries := qb.cube, qb.cells
+	if len(queries) == 0 {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("empty queries list"))
 		return
 	}
-	if len(req.Queries) > maxBatchQueries {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("batch of %d queries exceeds the limit of %d", len(req.Queries), maxBatchQueries))
+	if len(queries) > maxBatchQueries {
+		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("batch of %d queries exceeds the limit of %d", len(queries), maxBatchQueries))
 		return
 	}
-	if _, ok := s.db.CubeByName(req.Cube); !ok {
-		s.writeErr(w, http.StatusNotFound, fmt.Errorf("unknown cube %q", req.Cube))
+	if _, ok := s.db.CubeByName(cube); !ok {
+		s.writeErr(w, http.StatusNotFound, fmt.Errorf("unknown cube %q", cube))
 		return
 	}
-	resp, err := s.db.Do(r.Context(), tabula.QueryRequest{Cube: req.Cube, Batch: req.Queries})
+	resp, err := s.db.Do(r.Context(), tabula.QueryRequest{Cube: cube, Batch: queries})
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	results := resp.Results
 
+	var hash uint64
+	hash, qb.ident = viewportHash(qb.ident, results)
+	ident := "b" + strconv.FormatUint(hash, 16)
+	etag := etagFor(cube, ident)
+	h := w.Header()
+	h.Set("ETag", etag)
+	h.Set("Vary", "Accept-Encoding")
+	if etagMatches(r.Header.Get("If-None-Match"), etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+
 	// Dedup: one payload per distinct {shard, generation, class}
 	// identity, in first-appearance order. (A sample shared across
 	// shards ships once per shard — the price of per-shard identities
 	// that survive appends to other shards — though both copies are the
 	// same resident bytes.) Results are compared on a packed comparable
-	// key, and identity strings are built once per DISTINCT payload — a
-	// 100-cell viewport resolving to a handful of representative samples
-	// no longer allocates 100 identity strings.
-	idents := make([]string, len(results))
+	// key.
 	resultIdx := make([]int, len(results))
 	payloadIdx := make(map[identKey]int, 16)
 	var distinct []*tabula.QueryResult
-	var distinctIdents []string
 	for i, res := range results {
 		k := identKeyOf(res)
 		j, ok := payloadIdx[k]
@@ -90,20 +93,8 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			j = len(distinct)
 			payloadIdx[k] = j
 			distinct = append(distinct, res)
-			distinctIdents = append(distinctIdents, identityOf(res))
 		}
 		resultIdx[i] = j
-		idents[i] = distinctIdents[j]
-	}
-	hash := strconv.FormatUint(viewportHash(idents), 16)
-	ident := "b" + hash
-	etag := etagFor(req.Cube, ident)
-	h := w.Header()
-	h.Set("ETag", etag)
-	h.Set("Vary", "Accept-Encoding")
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
 	}
 
 	// Assembled gzip bodies are cached per identity-list hash:
@@ -113,8 +104,8 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	// A body too small to compress is not worth an entry; it falls
 	// through and is laid out again, which at that size costs nothing.
 	if s.gzip && acceptsGzip(r) {
-		body, err := s.cache.Get(viewportKey(req.Cube, ident), func() ([]byte, error) {
-			parts, err := s.viewportParts(r.Context(), req.Cube, results, resultIdx, distinct)
+		body, err := s.cache.Get(viewportKey(cube, ident), func() ([]byte, error) {
+			parts, err := s.viewportParts(r.Context(), cube, results, resultIdx, distinct)
 			if err != nil {
 				return nil, err
 			}
@@ -132,7 +123,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	parts, err := s.viewportParts(r.Context(), req.Cube, results, resultIdx, distinct)
+	parts, err := s.viewportParts(r.Context(), cube, results, resultIdx, distinct)
 	if err != nil {
 		s.writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -194,9 +185,8 @@ func (s *Server) viewportParts(ctx context.Context, cube string, results []*tabu
 }
 
 // identKey is the comparable form of a result's cache identity
-// "s{shard}.g{generation}.{class}" (see identityOf): the dedup map keys
-// on this packed struct instead of a formatted string, so per-result
-// identity strings are only materialized once per distinct payload.
+// "s{shard}.g{generation}.{class}" (see appendIdentity): the dedup map
+// keys on this packed struct instead of a formatted string.
 type identKey struct {
 	shard      int
 	generation uint64

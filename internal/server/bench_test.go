@@ -98,10 +98,97 @@ func BenchmarkServeQueryIdentity(b *testing.B) {
 
 // BenchmarkServeQueryBatch: a 100-cell viewport per request, answered
 // from the assembled-body cache; the Stitch variant disables the cache,
-// so every request compresses the envelope and stitches the member.
+// so every request compresses the envelope and stitches the member. The
+// revalidate variant is a dashboard's warm pan: a 64-cell viewport over
+// five cubed attributes, sent with the ETag of its last answer and
+// answered 304 — decode, resolve, hash, no body.
 func BenchmarkServeQueryBatch(b *testing.B) {
 	b.Run("cached", func(b *testing.B) { benchBatch(b, benchCubeServer(b)) })
 	b.Run("stitch", func(b *testing.B) { benchBatch(b, benchCubeServer(b, WithCacheBytes(0))) })
+	b.Run("revalidate", func(b *testing.B) {
+		s, body := viewportServer(b)
+		rv := newRevalidation(b, s, "/v1/query/batch", body)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if status := rv.serve(); status != http.StatusNotModified {
+				b.Fatalf("status %d", status)
+			}
+		}
+	})
+}
+
+// viewportServer serves a cube over five cubed attributes and returns
+// it with a 64-cell batch body over that cube, one fully constrained
+// cell per input row.
+func viewportServer(tb testing.TB) (*Server, []byte) {
+	tb.Helper()
+	db := tabula.Open()
+	tbl := tabula.GenerateTaxi(5000, 77)
+	attrs := tabula.TaxiCubedAttrs()[:5]
+	params := tabula.DefaultParams(tabula.NewHistogramLoss("fare_amount"), 1.0, attrs...)
+	cube, err := tabula.Build(tbl, params)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	db.RegisterCube("c", cube)
+	schema := tbl.Schema()
+	queries := make([]map[string]string, 64)
+	for i := range queries {
+		where := make(map[string]string, len(attrs))
+		for _, a := range attrs {
+			where[a] = tbl.Value(i, schema.ColumnIndex(a)).String()
+		}
+		queries[i] = where
+	}
+	body, err := json.Marshal(map[string]any{"cube": "c", "queries": queries})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return New(db), body
+}
+
+// revalidation replays one request carrying If-None-Match with the ETag
+// its first answer had. The request and its body reader are reused, so
+// allocations per serve are the server's own.
+type revalidation struct {
+	s    *Server
+	req  *http.Request
+	raw  []byte
+	body *reusableBody
+	w    *nullResponseWriter
+}
+
+type reusableBody struct{ bytes.Reader }
+
+func (*reusableBody) Close() error { return nil }
+
+func newRevalidation(tb testing.TB, s *Server, path string, body []byte) *revalidation {
+	tb.Helper()
+	rv := &revalidation{s: s, raw: body, body: new(reusableBody), w: &nullResponseWriter{h: make(http.Header)}}
+	req, err := http.NewRequest("POST", path, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req.Body, req.ContentLength = rv.body, int64(len(body))
+	req.Header.Set("Accept-Encoding", "gzip")
+	rv.req = req
+	if status := rv.serve(); status != http.StatusOK {
+		tb.Fatalf("first request: status %d", status)
+	}
+	req.Header.Set("If-None-Match", rv.w.h.Get("ETag"))
+	if status := rv.serve(); status != http.StatusNotModified {
+		tb.Fatalf("revalidation: status %d, want 304", status)
+	}
+	return rv
+}
+
+func (rv *revalidation) serve() int {
+	rv.body.Reset(rv.raw)
+	clear(rv.w.h)
+	rv.w.status = 0
+	rv.s.ServeHTTP(rv.w, rv.req)
+	return rv.w.status
 }
 
 func benchBatch(b *testing.B, s *Server) {
@@ -142,6 +229,44 @@ func BenchmarkFillPayload(b *testing.B) {
 		seg, err := s.payloadSegment("c", &tabula.QueryResult{Sample: tbl})
 		if err != nil || seg.Len == 0 {
 			b.Fatal(seg, err)
+		}
+	}
+}
+
+// The warm pan's two 304 paths stay within a fixed allocation budget: a
+// 64-cell viewport and a single cell, each revalidated with the ETag of
+// its last answer. Decoding with encoding/json, they took about 1 200
+// and 40.
+func TestRevalidationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	s, body := viewportServer(t)
+	var batch struct{ Queries []map[string]string }
+	if err := json.Unmarshal(body, &batch); err != nil {
+		t.Fatal(err)
+	}
+	single, err := json.Marshal(map[string]any{"cube": "c", "where": batch.Queries[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path    string
+		body    []byte
+		ceiling float64
+	}{
+		{"/v1/query/batch", body, 50},
+		{"/v1/query", single, 20},
+	} {
+		rv := newRevalidation(t, s, tc.path, tc.body)
+		allocs := testing.AllocsPerRun(200, func() {
+			if status := rv.serve(); status != http.StatusNotModified {
+				t.Fatalf("%s: status %d", tc.path, status)
+			}
+		})
+		t.Logf("%s 304: %v allocs", tc.path, allocs)
+		if allocs > tc.ceiling {
+			t.Errorf("%s 304: %v allocs, ceiling %v", tc.path, allocs, tc.ceiling)
 		}
 	}
 }

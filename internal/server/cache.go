@@ -1,7 +1,6 @@
 package server
 
 import (
-	"hash/fnv"
 	"net/http"
 	"strconv"
 	"strings"
@@ -32,26 +31,24 @@ import (
 // the same sample: "s<id>" for a persisted sample (shard-local id), "g"
 // for the global sample, "e" for an empty population.
 
-// classOf maps a query result to its payload class.
-func classOf(res *tabula.QueryResult) string {
-	switch {
-	case res.FromGlobal:
-		return "g"
-	case res.SampleID >= 0:
-		return "s" + strconv.FormatInt(int64(res.SampleID), 10)
-	default:
-		return "e"
-	}
-}
-
-// identityOf maps a query result to its response identity,
+// appendIdentity appends a query result's response identity,
 // "s{shard}.g{generation}.{class}". Results that address no cell
 // (unknown value → empty population) carry shard -1 and generation 0,
 // which is stable: the empty payload for a cube's schema never changes.
-func identityOf(res *tabula.QueryResult) string {
-	return "s" + strconv.Itoa(res.Shard) +
-		".g" + strconv.FormatUint(res.Generation, 10) +
-		"." + classOf(res)
+func appendIdentity(dst []byte, res *tabula.QueryResult) []byte {
+	dst = append(dst, 's')
+	dst = strconv.AppendInt(dst, int64(res.Shard), 10)
+	dst = append(dst, ".g"...)
+	dst = strconv.AppendUint(dst, res.Generation, 10)
+	switch {
+	case res.FromGlobal:
+		return append(dst, ".g"...)
+	case res.SampleID >= 0:
+		dst = append(dst, ".s"...)
+		return strconv.AppendInt(dst, int64(res.SampleID), 10)
+	default:
+		return append(dst, ".e"...)
+	}
 }
 
 // viewportKey is the response-cache key of a viewport's assembled gzip
@@ -74,10 +71,9 @@ func etagFor(cube, ident string) string {
 // intermediary weakened to W/"…" while re-encoding the body still names
 // this response. Handles the comma-separated list form and "*".
 func etagMatches(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	for _, c := range strings.Split(header, ",") {
+	for header != "" {
+		var c string
+		c, header, _ = strings.Cut(header, ",")
 		c = strings.TrimSpace(c)
 		if c == "*" || strings.TrimPrefix(c, "W/") == etag {
 			return true
@@ -90,12 +86,16 @@ func etagMatches(header, etag string) bool {
 // with a non-zero weight. A weight that does not parse refuses gzip:
 // the identity encoding is always acceptable.
 func acceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
+	for list := r.Header.Get("Accept-Encoding"); list != ""; {
+		var part string
+		part, list, _ = strings.Cut(list, ",")
 		enc, params, _ := strings.Cut(part, ";")
 		if !strings.EqualFold(strings.TrimSpace(enc), "gzip") {
 			continue
 		}
-		for _, param := range strings.Split(params, ";") {
+		for params != "" {
+			var param string
+			param, params, _ = strings.Cut(params, ";")
 			name, val, _ := strings.Cut(param, "=")
 			if !strings.EqualFold(strings.TrimSpace(name), "q") {
 				continue
@@ -113,17 +113,26 @@ func acceptsGzip(r *http.Request) bool {
 const gzipMinBytes = 512
 
 // viewportHash fingerprints the ordered identity list of a batch
-// response. The body is a pure function of the identities (payload
-// indexes, shard/generation stamps, from_global flags, and payload
-// bytes all derive from them), so the hash is both the batch cache key
-// and its ETag discriminator — and because identities are per-shard,
-// a viewport whose shards an append did not touch keeps its hash, its
-// cached body, and its 304s.
-func viewportHash(idents []string) uint64 {
-	h := fnv.New64a()
-	for _, id := range idents {
-		h.Write([]byte(id))
-		h.Write([]byte{0})
+// response: 64-bit FNV-1a over each result's identity followed by a 0
+// byte. The body is a pure function of the identities (payload indexes,
+// shard/generation stamps, from_global flags, and payload bytes all
+// derive from them), so the hash is both the batch cache key and its
+// ETag discriminator — and because identities are per-shard, a viewport
+// whose shards an append did not touch keeps its hash, its cached body,
+// and its 304s. Each identity is laid out in scratch, which is returned
+// for reuse.
+func viewportHash(scratch []byte, results []*tabula.QueryResult) (uint64, []byte) {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, res := range results {
+		scratch = append(appendIdentity(scratch[:0], res), 0)
+		for _, c := range scratch {
+			h ^= uint64(c)
+			h *= prime64
+		}
 	}
-	return h.Sum64()
+	return h, scratch
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -147,10 +149,75 @@ func TestAcceptsGzipWeights(t *testing.T) {
 		{"gzip;q=", false},
 		{"gzip;q=abc", false},
 		{"x-gzip-like", false},
+		{",", false},
+		{" , ,gzip", true},
+		{"identity,,gzip;q=0.000", false},
+		{"gzip;", true},
+		{"gzip;;q=0", false},
+		{"gzip;level=1;q=0.5", true},
+		{"gzip;q=0.5;q=0", true},
 	} {
 		r := &http.Request{Header: http.Header{"Accept-Encoding": {tc.header}}}
 		if got := acceptsGzip(r); got != tc.want {
 			t.Errorf("acceptsGzip(%q) = %v, want %v", tc.header, got, tc.want)
+		}
+	}
+}
+
+// Identities and viewport hashes are ETags clients hold across
+// restarts and upgrades: they must stay the strings
+// "s{shard}.g{generation}.{class}" and 64-bit FNV-1a over each
+// identity and a 0 byte, whatever builds them.
+func TestIdentityAndViewportHashFormat(t *testing.T) {
+	results := []*tabula.QueryResult{
+		{Shard: 3, Generation: 1, SampleID: 7},
+		{Shard: 15, Generation: 12345678901234, SampleID: 0},
+		{Shard: 0, Generation: 2, SampleID: -1, FromGlobal: true},
+		{Shard: -1, Generation: 0, SampleID: -1},
+		{Shard: 3, Generation: 1, SampleID: 7},
+	}
+	want := fnv.New64a()
+	for _, res := range results {
+		class := "e"
+		switch {
+		case res.FromGlobal:
+			class = "g"
+		case res.SampleID >= 0:
+			class = fmt.Sprintf("s%d", res.SampleID)
+		}
+		ident := fmt.Sprintf("s%d.g%d.%s", res.Shard, res.Generation, class)
+		if got := string(appendIdentity(nil, res)); got != ident {
+			t.Errorf("appendIdentity(%+v) = %q, want %q", *res, got, ident)
+		}
+		want.Write([]byte(ident))
+		want.Write([]byte{0})
+	}
+	if got, _ := viewportHash(nil, results); got != want.Sum64() {
+		t.Fatalf("viewportHash = %x, want FNV-1a %x", got, want.Sum64())
+	}
+}
+
+func TestETagMatchesLists(t *testing.T) {
+	const etag = `"c.s3.g1.s7"`
+	for _, tc := range []struct {
+		header string
+		want   bool
+	}{
+		{"", false},
+		{etag, true},
+		{"W/" + etag, true},
+		{"w/" + etag, false},
+		{"*", true},
+		{" * ", true},
+		{",", false},
+		{",, ," + etag + ",", true},
+		{`"other",,W/"c.s3.g1.s7"`, true},
+		{"W/c.s3.g1.s7", false},
+		{"c.s3.g1.s7", false},
+		{`W/"c.s3.g1"`, false},
+	} {
+		if got := etagMatches(tc.header, etag); got != tc.want {
+			t.Errorf("etagMatches(%q) = %v, want %v", tc.header, got, tc.want)
 		}
 	}
 }

@@ -18,6 +18,10 @@
 //	GET  /                                                    → built-in dashboard demo page
 //	GET  /debug/pprof/…                                       → net/http/pprof (only WithPprof(true))
 //
+// Query bodies (/v1/query, /v1/query/batch) are decoded in one pass,
+// without reflection, into pooled scratch whose strings are substrings
+// of the body (decode.go); a body over maxQueryBody is a 413.
+//
 // Observability: with WithMetrics, every route records request counts
 // by status class, a latency histogram and response bytes; the response
 // cache and each cube export their counters through the same registry
@@ -42,6 +46,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -210,11 +215,6 @@ type execRequest struct {
 	SQL string `json:"sql"`
 }
 
-type queryRequest struct {
-	Cube  string            `json:"cube"`
-	Where map[string]string `json:"where"`
-}
-
 // queryResponse is the /exec wire shape; Sample holds the table's
 // pre-encoded JSON (see appendTableJSON).
 type queryResponse struct {
@@ -254,6 +254,17 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 
 func (s *Server) writeErr(w http.ResponseWriter, status int, err error) {
 	s.writeJSON(w, status, errorResponse{Error: err.Error()})
+}
+
+// writeBodyErr answers a request body that could not be read or
+// decoded: 413 past maxQueryBody, 400 otherwise.
+func (s *Server) writeBodyErr(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeErr(w, status, fmt.Errorf("bad request body: %w", err))
 }
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
@@ -315,28 +326,34 @@ func (s *Server) writeParts(w http.ResponseWriter, r *http.Request, parts []*wir
 	putBuf(bp)
 }
 
+// noPredicates is the WHERE clause of a body without one: the apex
+// cell. Shared read-only.
+var noPredicates = map[string]string{}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	qb := getQueryBody()
+	defer putQueryBody(qb)
+	if err := qb.read(w, r, false); err != nil {
+		s.writeBodyErr(w, err)
 		return
 	}
-	if _, ok := s.db.CubeByName(req.Cube); !ok {
-		s.writeErr(w, http.StatusNotFound, fmt.Errorf("unknown cube %q", req.Cube))
+	cube := qb.cube
+	if _, ok := s.db.CubeByName(cube); !ok {
+		s.writeErr(w, http.StatusNotFound, fmt.Errorf("unknown cube %q", cube))
 		return
 	}
-	where := req.Where
+	where := qb.where
 	if where == nil {
-		where = map[string]string{}
+		where = noPredicates
 	}
-	resp, err := s.db.Do(r.Context(), tabula.QueryRequest{Cube: req.Cube, Where: where})
+	resp, err := s.db.Do(r.Context(), tabula.QueryRequest{Cube: cube, Where: where})
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	res := resp.Result
-	ident := identityOf(res)
-	etag := etagFor(req.Cube, ident)
+	qb.ident = appendIdentity(qb.ident[:0], res)
+	etag := etagFor(cube, string(qb.ident))
 	h := w.Header()
 	h.Set("ETag", etag)
 	h.Set("Vary", "Accept-Encoding")
@@ -344,7 +361,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	payload, err := s.payloadSegment(req.Cube, res)
+	payload, err := s.payloadSegment(cube, res)
 	if err != nil {
 		s.writeErr(w, http.StatusInternalServerError, err)
 		return
