@@ -149,3 +149,47 @@ func TestQueryBatchSnapshotConsistentDuringAppends(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// The epoch names the cube instance: every answer of one instance
+// carries it — empty answers included, before and after appends — and
+// a second Build of the same table, or a Load of the saved cube, draws
+// another, so a {shard, generation, sample} triple never names two
+// instances' bytes.
+func TestEpochNamesTheInstance(t *testing.T) {
+	tab := buildAppendable(t, taxiTable(2000, 401), loss.NewHistogram("fare"), 1.0)
+	query := func(c *Tabula, where map[string]string) *QueryResult {
+		t.Helper()
+		res, err := c.QueryByValues(context.Background(), where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cash, unknown := map[string]string{"payment": "cash"}, map[string]string{"payment": "barter"}
+	epoch := query(tab, cash).Epoch
+	if res := query(tab, unknown); res.Shard != -1 || res.Epoch != epoch {
+		t.Fatalf("empty answer: shard %d epoch %x, want -1 and the cube's %x", res.Shard, res.Epoch, epoch)
+	}
+	if _, err := tab.Append(context.Background(), taxiTable(200, 402)); err != nil {
+		t.Fatal(err)
+	}
+	if got := query(tab, cash).Epoch; got != epoch {
+		t.Fatalf("epoch after an append = %x, want %x", got, epoch)
+	}
+
+	other := buildAppendable(t, taxiTable(2000, 401), loss.NewHistogram("fare"), 1.0)
+	if got := query(other, cash).Epoch; got == epoch {
+		t.Fatalf("two builds drew the same epoch %x", got)
+	}
+	var buf bytes.Buffer
+	if err := tab.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := query(loaded, cash).Epoch; got == epoch {
+		t.Fatalf("a loaded cube kept the saved cube's epoch %x", got)
+	}
+}

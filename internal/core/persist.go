@@ -246,7 +246,7 @@ func Load(r io.Reader) (*Tabula, error) {
 		return nil, fmt.Errorf("core: unsupported cube version %d", version)
 	}
 	t := &Tabula{}
-	sn := &snapshot{version: 1}
+	sn := &snapshot{version: 1, epoch: newEpoch()}
 	if err := binary.Read(br, binary.LittleEndian, &t.params.Theta); err != nil {
 		return nil, err
 	}

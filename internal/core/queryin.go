@@ -152,5 +152,5 @@ func (t *Tabula) QueryIn(ctx context.Context, conds []ConditionIn) (*QueryResult
 			return nil, err
 		}
 	}
-	return &QueryResult{Sample: union, FromGlobal: useGlobal && len(ordered) == 0, Shard: -1, SampleID: -1, Version: sn.version}, nil
+	return &QueryResult{Sample: union, FromGlobal: useGlobal && len(ordered) == 0, Shard: -1, SampleID: -1, Epoch: sn.epoch, Version: sn.version}, nil
 }

@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -247,6 +248,13 @@ type snapshot struct {
 	// answered untorn); per-cell cache identity uses the per-shard
 	// generations instead, which survive appends to other shards.
 	version uint64
+	// epoch names the cube instance: drawn at random once per Build or
+	// Load, shared by every successor, never persisted. Shard
+	// generations restart at 1 in every instance, so {shard, generation,
+	// sample id} alone names different bytes in a rebuilt or reloaded
+	// cube; with the epoch it names one physical sample for as long as
+	// the sample lives.
+	epoch uint64
 }
 
 // successor returns a shallow copy of s sharing the immutable pieces
@@ -338,6 +346,7 @@ func newSnapshot(schema dataset.Schema, cubedAttrs []string, nShards int) *snaps
 		shards:  make([]*shard, nShards),
 		empty:   &sample{tbl: dataset.NewTable(schema)},
 		version: 1,
+		epoch:   newEpoch(),
 	}
 	for i := range sn.shards {
 		sn.shards[i] = newShard()
@@ -347,6 +356,9 @@ func newSnapshot(schema dataset.Schema, cubedAttrs []string, nShards int) *snaps
 	}
 	return sn
 }
+
+// newEpoch draws a cube instance's epoch (see snapshot.epoch).
+func newEpoch() uint64 { return randv2.Uint64() }
 
 // Build initializes Tabula over the raw table: it draws the global
 // sample, runs the dry-run and real-run stages, optionally runs
@@ -648,14 +660,20 @@ type QueryResult struct {
 	// their shard; two shards reuse the same small integers.
 	SampleID int32
 	// Generation is the generation of the shard that answered the
-	// query (0 when Shard is -1). The triple {Shard, Generation,
-	// SampleID} is a stable identity for the returned bytes: within a
-	// shard generation every sample table is immutable and local ids
-	// are never reused, so serving layers may cache encoded responses
-	// keyed by it and invalidate by shard-generation change alone —
-	// appends that touch other shards leave the identity (and any bytes
-	// cached under it) valid.
+	// query (0 when Shard is -1). Under one Epoch, the triple {Shard,
+	// Generation, SampleID} is a stable identity for the returned
+	// bytes: within a shard generation every sample table is immutable
+	// and local ids are never reused, so serving layers may cache
+	// encoded responses keyed by it and invalidate by shard-generation
+	// change alone — appends that touch other shards leave the identity
+	// (and any bytes cached under it) valid.
 	Generation uint64
+	// Epoch names the cube instance that answered: drawn at random once
+	// per Build or Load, kept across appends, never persisted. Every
+	// instance starts its shards at generation 1, so an identity
+	// without the epoch would name different bytes in a cube rebuilt or
+	// reloaded under the same name.
+	Epoch uint64
 	// Version is the cube-wide version of the snapshot that answered
 	// the query (+1 per published Append, regardless of which shards it
 	// touched). Batch viewports use it to prove snapshot consistency:
@@ -724,16 +742,16 @@ func (sn *snapshot) answerCell(dst *QueryResult, codes []int32) {
 	sh := sn.shards[si]
 	if id, ok := sh.cubeTable[key]; ok {
 		sam := sh.samples[id]
-		*dst = QueryResult{Sample: sam.tbl, Wire: &sam.wire, CellKey: key, Shard: si, SampleID: id, Generation: sh.generation, Version: sn.version}
+		*dst = QueryResult{Sample: sam.tbl, Wire: &sam.wire, CellKey: key, Shard: si, SampleID: id, Generation: sh.generation, Epoch: sn.epoch, Version: sn.version}
 		return
 	}
-	*dst = QueryResult{Sample: sn.global.tbl, Wire: &sn.global.wire, FromGlobal: true, CellKey: key, Shard: si, SampleID: -1, Generation: sh.generation, Version: sn.version}
+	*dst = QueryResult{Sample: sn.global.tbl, Wire: &sn.global.wire, FromGlobal: true, CellKey: key, Shard: si, SampleID: -1, Generation: sh.generation, Epoch: sn.epoch, Version: sn.version}
 }
 
 // answerEmpty is the answer to a query addressing no population: no
 // cell, no shard, the snapshot's empty sample.
 func (sn *snapshot) answerEmpty() *QueryResult {
-	return &QueryResult{Sample: sn.empty.tbl, Wire: &sn.empty.wire, Shard: -1, SampleID: -1, Version: sn.version}
+	return &QueryResult{Sample: sn.empty.tbl, Wire: &sn.empty.wire, Shard: -1, SampleID: -1, Epoch: sn.epoch, Version: sn.version}
 }
 
 // parseConds parses display-form predicate values against the snapshot's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -117,5 +118,78 @@ func TestWireCellsFollowSamplesAcrossAppends(t *testing.T) {
 	t.Logf("%d surviving filled samples and %d rebuilt ones over 50 appends", kept, rebuilt)
 	if kept == 0 || rebuilt == 0 {
 		t.Fatalf("degenerate run: %d surviving filled samples, %d rebuilt ones", kept, rebuilt)
+	}
+}
+
+// Every batch answer carries its sample's wire cell — iceberg, global
+// and empty answers, fast and slow resolution paths alike — and the
+// cell follows the sample one to one: two answers share a cell exactly
+// when they share a sample, through any shard. Serving layers dedup a
+// viewport's payloads on the cell, so this must hold after Build,
+// after Load (which re-links shared samples from the persisted pool)
+// and after an Append (which may rebuild a shared sample per cell, so
+// only the global sample is sure to stay shared).
+func TestBatchResultsCarryTheirSampleCell(t *testing.T) {
+	built := buildAppendable(t, taxiTable(2000, 301), loss.NewHistogram("fare"), 0.1)
+	var file bytes.Buffer
+	if err := built.Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := buildAppendable(t, taxiTable(2000, 301), loss.NewHistogram("fare"), 0.1)
+	if _, err := appended.Append(context.Background(), taxiTable(60, 302)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		tab       *Tabula
+		minShared int
+	}{{"built", built, 2}, {"loaded", loaded, 2}, {"appended", appended, 1}} {
+		results, err := tc.tab.QueryBatchByValues(context.Background(), viewportQueries())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cellOf := make(map[*dataset.Table]*wire.Cell)
+		sampleOf := make(map[*wire.Cell]*dataset.Table)
+		shardsOf := make(map[*wire.Cell]map[int]bool)
+		var global, iceberg, empty int
+		for _, res := range results {
+			switch {
+			case res.Wire == nil:
+				t.Fatalf("%s: an answer carries no wire cell: %+v", tc.name, res)
+			case res.FromGlobal:
+				global++
+			case res.Shard < 0:
+				empty++
+			default:
+				iceberg++
+			}
+			if c, ok := cellOf[res.Sample]; ok && c != res.Wire {
+				t.Fatalf("%s: one sample answered with two cells", tc.name)
+			}
+			if s, ok := sampleOf[res.Wire]; ok && s != res.Sample {
+				t.Fatalf("%s: one cell answered for two samples", tc.name)
+			}
+			cellOf[res.Sample], sampleOf[res.Wire] = res.Wire, res.Sample
+			if shardsOf[res.Wire] == nil {
+				shardsOf[res.Wire] = make(map[int]bool)
+			}
+			shardsOf[res.Wire][res.Shard] = true
+		}
+		if global == 0 || iceberg == 0 || empty == 0 {
+			t.Fatalf("%s: degenerate viewport: %d global, %d iceberg, %d empty answers", tc.name, global, iceberg, empty)
+		}
+		shared := 0
+		for _, shards := range shardsOf {
+			if len(shards) > 1 {
+				shared++
+			}
+		}
+		if shared < tc.minShared {
+			t.Fatalf("%s: %d samples reached through more than one shard, want at least %d", tc.name, shared, tc.minShared)
+		}
 	}
 }

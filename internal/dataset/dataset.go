@@ -11,6 +11,7 @@ package dataset
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/tabula-db/tabula/internal/geo"
 )
@@ -114,17 +115,21 @@ func (v Value) Float() float64 {
 	}
 }
 
-// String renders the value for display and CSV export.
+// String renders the value for display and CSV export: fmt's %d and %g
+// forms, written by strconv. Going through fmt would take a printer
+// from its sync.Pool per call, which the race detector's runtime
+// randomly empties, so a caller's allocation count would depend on the
+// build.
 func (v Value) String() string {
 	switch v.Type {
 	case Int64:
-		return fmt.Sprintf("%d", v.I)
+		return strconv.FormatInt(v.I, 10)
 	case Float64:
-		return fmt.Sprintf("%g", v.F)
+		return strconv.FormatFloat(v.F, 'g', -1, 64)
 	case String:
 		return v.S
 	case Point:
-		return fmt.Sprintf("%g %g", v.P.X, v.P.Y)
+		return strconv.FormatFloat(v.P.X, 'g', -1, 64) + " " + strconv.FormatFloat(v.P.Y, 'g', -1, 64)
 	default:
 		return fmt.Sprintf("Value(%d)", int(v.Type))
 	}

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -273,6 +275,30 @@ func TestParseValueProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// String writes fmt's %d and %g forms without fmt — special floats,
+// extremes and negative zero included.
+func TestValueStringMatchesFmt(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1e21, 1e-7, 5e-324, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 0.1, -73.97}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 1000; i++ {
+		floats = append(floats, math.Float64frombits(r.Uint64()))
+	}
+	for i, f := range floats {
+		if got, want := FloatValue(f).String(), fmt.Sprintf("%g", f); got != want {
+			t.Errorf("FloatValue(%v).String() = %q, want %q", f, got, want)
+		}
+		p := geo.Point{X: f, Y: floats[len(floats)-1-i]}
+		if got, want := PointValue(p).String(), fmt.Sprintf("%g %g", p.X, p.Y); got != want {
+			t.Errorf("PointValue(%v).String() = %q, want %q", p, got, want)
+		}
+	}
+	for _, n := range []int64{0, -1, 7, math.MaxInt64, math.MinInt64, r.Int63()} {
+		if got, want := IntValue(n).String(), fmt.Sprintf("%d", n); got != want {
+			t.Errorf("IntValue(%d).String() = %q, want %q", n, got, want)
+		}
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 // sample to many cells — ships the same payload bytes repeatedly. The
 // batch endpoint resolves every cell against ONE cube snapshot (all
 // results share a snapshot Version; a concurrent Append can never tear
-// the viewport), dedupes cells that resolve to the same per-shard
-// payload identity, and ships each distinct payload once, referenced
-// by index:
+// the viewport), dedupes cells that resolve to the same physical
+// sample — through any shard — and ships each distinct sample's
+// payload once, referenced by index:
 //
 //	request:  {"cube":"c","queries":[{"a":"x"},{"a":"y"},…]}
 //	response: {"results":[{"payload":0,"shard":3,"generation":2,"from_global":false},…],
@@ -29,7 +29,8 @@ import (
 // results[i] answers queries[i]; results[i].payload indexes payloads;
 // shard/generation stamp the answering shard so a client can correlate
 // cells with the generation vector reported by GET /cache. The body is
-// a pure function of the per-result identities — deliberately carrying
+// a pure function of the per-result identities — each names one
+// physical sample within the cube's epoch, and it deliberately carries
 // no cube-wide version — so its ETag (the identity-list hash) stays
 // valid across appends that do not touch the viewport's shards, and a
 // panned-back dashboard keeps revalidating with 304s while the cube
@@ -77,21 +78,19 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Dedup: one payload per distinct {shard, generation, class}
-	// identity, in first-appearance order. (A sample shared across
-	// shards ships once per shard — the price of per-shard identities
-	// that survive appends to other shards — though both copies are the
-	// same resident bytes.) Results are compared on a packed comparable
-	// key.
+	// Dedup: one payload per distinct physical sample, in
+	// first-appearance order. A sample's wire cell is its identity: the
+	// global sample, or a representative shared by cells of several
+	// shards, is one cell however many shards lead to it, so it ships
+	// once per body.
 	resultIdx := make([]int, len(results))
-	payloadIdx := make(map[identKey]int, 16)
+	payloadIdx := make(map[*wire.Cell]int, 16)
 	var distinct []*tabula.QueryResult
 	for i, res := range results {
-		k := identKeyOf(res)
-		j, ok := payloadIdx[k]
+		j, ok := payloadIdx[res.Wire]
 		if !ok {
 			j = len(distinct)
-			payloadIdx[k] = j
+			payloadIdx[res.Wire] = j
 			distinct = append(distinct, res)
 		}
 		resultIdx[i] = j
@@ -182,23 +181,4 @@ func (s *Server) viewportParts(ctx context.Context, cube string, results []*tabu
 		parts = append(parts, payload)
 	}
 	return append(parts, segBatchTail), nil
-}
-
-// identKey is the comparable form of a result's cache identity
-// "s{shard}.g{generation}.{class}" (see appendIdentity): the dedup map
-// keys on this packed struct instead of a formatted string.
-type identKey struct {
-	shard      int
-	generation uint64
-	sampleID   int32
-	fromGlobal bool
-}
-
-func identKeyOf(res *tabula.QueryResult) identKey {
-	return identKey{
-		shard:      res.Shard,
-		generation: res.Generation,
-		sampleID:   res.SampleID,
-		fromGlobal: res.FromGlobal,
-	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -64,7 +65,9 @@ func marshalQueryBodies(b *testing.B) [][]byte {
 	return bodies
 }
 
-func serveBench(b *testing.B, s *Server, path string, bodies [][]byte, acceptEncoding string) {
+// serveBench serves the bodies round robin, b.N requests in all, and
+// returns the response body bytes written.
+func serveBench(b *testing.B, s *Server, path string, bodies [][]byte, acceptEncoding string) int {
 	w := &nullResponseWriter{h: make(http.Header)}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -81,6 +84,7 @@ func serveBench(b *testing.B, s *Server, path string, bodies [][]byte, acceptEnc
 			b.Fatalf("status %d", w.status)
 		}
 	}
+	return w.n
 }
 
 // BenchmarkServeQuery: repeated-cell traffic through the full handler
@@ -99,12 +103,38 @@ func BenchmarkServeQueryIdentity(b *testing.B) {
 // BenchmarkServeQueryBatch: a 100-cell viewport per request, answered
 // from the assembled-body cache; the Stitch variant disables the cache,
 // so every request compresses the envelope and stitches the member. The
-// revalidate variant is a dashboard's warm pan: a 64-cell viewport over
-// five cubed attributes, sent with the ETag of its last answer and
-// answered 304 — decode, resolve, hash, no body.
+// gzip200 variant stitches a dashboard's 64-cell viewport over five
+// cubed attributes — cells in every shard, most of them answered by the
+// global sample — per request, and reports the body it ships. The
+// revalidate variant is the same viewport's warm pan: sent with the
+// ETag of its last answer and answered 304 — decode, resolve, hash, no
+// body.
 func BenchmarkServeQueryBatch(b *testing.B) {
 	b.Run("cached", func(b *testing.B) { benchBatch(b, benchCubeServer(b)) })
 	b.Run("stitch", func(b *testing.B) { benchBatch(b, benchCubeServer(b, WithCacheBytes(0))) })
+	b.Run("gzip200", func(b *testing.B) {
+		s, body := viewportServer(b, WithCacheBytes(0))
+		var batch struct{ Queries []map[string]string }
+		if err := json.Unmarshal(body, &batch); err != nil {
+			b.Fatal(err)
+		}
+		resp, err := s.db.Do(context.Background(), tabula.QueryRequest{Cube: "c", Batch: batch.Queries})
+		if err != nil {
+			b.Fatal(err)
+		}
+		shards, global := make(map[int]bool), 0
+		for _, res := range resp.Results {
+			shards[res.Shard] = true
+			if res.FromGlobal {
+				global++
+			}
+		}
+		if len(shards) < 8 || global == 0 {
+			b.Fatalf("fixture: the viewport spans %d shards with %d global cells, want at least 8 and 1", len(shards), global)
+		}
+		n := serveBench(b, s, "/v1/query/batch", [][]byte{body}, "gzip")
+		b.ReportMetric(float64(n)/float64(b.N), "body_B/op")
+	})
 	b.Run("revalidate", func(b *testing.B) {
 		s, body := viewportServer(b)
 		rv := newRevalidation(b, s, "/v1/query/batch", body)
@@ -121,7 +151,7 @@ func BenchmarkServeQueryBatch(b *testing.B) {
 // viewportServer serves a cube over five cubed attributes and returns
 // it with a 64-cell batch body over that cube, one fully constrained
 // cell per input row.
-func viewportServer(tb testing.TB) (*Server, []byte) {
+func viewportServer(tb testing.TB, opts ...Option) (*Server, []byte) {
 	tb.Helper()
 	db := tabula.Open()
 	tbl := tabula.GenerateTaxi(5000, 77)
@@ -145,7 +175,7 @@ func viewportServer(tb testing.TB) (*Server, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return New(db), body
+	return New(db, opts...), body
 }
 
 // revalidation replays one request carrying If-None-Match with the ETag

@@ -22,17 +22,25 @@ import (
 func newCubeServer(t *testing.T, opts ...Option) (*Server, *httptest.Server, *tabula.Cube) {
 	t.Helper()
 	db := tabula.Open()
-	params := tabula.DefaultParams(tabula.NewHistogramLoss("fare_amount"), 1.0, "payment_type", "vendor_name")
-	params.EnableAppend = true
-	cube, err := tabula.Build(tabula.GenerateTaxi(3000, 31), params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cube := buildTaxiCube(t, 31)
 	db.RegisterCube("c", cube)
 	s := New(db, opts...)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts, cube
+}
+
+// buildTaxiCube builds the appendable cube newCubeServer serves, over
+// 3 000 taxi rows generated from seed.
+func buildTaxiCube(t *testing.T, seed int64) *tabula.Cube {
+	t.Helper()
+	params := tabula.DefaultParams(tabula.NewHistogramLoss("fare_amount"), 1.0, "payment_type", "vendor_name")
+	params.EnableAppend = true
+	cube, err := tabula.Build(tabula.GenerateTaxi(3000, seed), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cube
 }
 
 // doQuery posts a /query request with optional extra headers and returns
@@ -164,19 +172,23 @@ func TestAcceptsGzipWeights(t *testing.T) {
 	}
 }
 
-// Identities and viewport hashes are ETags clients hold across
-// restarts and upgrades: they must stay the strings
-// "s{shard}.g{generation}.{class}" and 64-bit FNV-1a over each
-// identity and a 0 byte, whatever builds them.
+// Identities and viewport hashes are ETags clients hold across server
+// upgrades: they must stay the strings
+// "e{epoch:hex}.s{shard}.g{generation}.{class}" and 64-bit FNV-1a over
+// "e{epoch:hex}", then each result's "s{shard}.g{generation}.{class}",
+// each followed by a 0 byte, whatever builds them. (They do not survive
+// a rebuild or a Load: those draw a new epoch.)
 func TestIdentityAndViewportHashFormat(t *testing.T) {
+	const epoch = 0x9f3c
 	results := []*tabula.QueryResult{
-		{Shard: 3, Generation: 1, SampleID: 7},
-		{Shard: 15, Generation: 12345678901234, SampleID: 0},
-		{Shard: 0, Generation: 2, SampleID: -1, FromGlobal: true},
-		{Shard: -1, Generation: 0, SampleID: -1},
-		{Shard: 3, Generation: 1, SampleID: 7},
+		{Epoch: epoch, Shard: 3, Generation: 1, SampleID: 7},
+		{Epoch: epoch, Shard: 15, Generation: 12345678901234, SampleID: 0},
+		{Epoch: epoch, Shard: 0, Generation: 2, SampleID: -1, FromGlobal: true},
+		{Epoch: epoch, Shard: -1, Generation: 0, SampleID: -1},
+		{Epoch: epoch, Shard: 3, Generation: 1, SampleID: 7},
 	}
 	want := fnv.New64a()
+	fmt.Fprintf(want, "e%x\x00", epoch)
 	for _, res := range results {
 		class := "e"
 		switch {
@@ -185,15 +197,21 @@ func TestIdentityAndViewportHashFormat(t *testing.T) {
 		case res.SampleID >= 0:
 			class = fmt.Sprintf("s%d", res.SampleID)
 		}
-		ident := fmt.Sprintf("s%d.g%d.%s", res.Shard, res.Generation, class)
-		if got := string(appendIdentity(nil, res)); got != ident {
-			t.Errorf("appendIdentity(%+v) = %q, want %q", *res, got, ident)
+		shardIdent := fmt.Sprintf("s%d.g%d.%s", res.Shard, res.Generation, class)
+		if got, want := string(appendIdentity(nil, res)), fmt.Sprintf("e%x.%s", epoch, shardIdent); got != want {
+			t.Errorf("appendIdentity(%+v) = %q, want %q", *res, got, want)
 		}
-		want.Write([]byte(ident))
+		want.Write([]byte(shardIdent))
 		want.Write([]byte{0})
 	}
 	if got, _ := viewportHash(nil, results); got != want.Sum64() {
 		t.Fatalf("viewportHash = %x, want FNV-1a %x", got, want.Sum64())
+	}
+	for _, e := range []uint64{0, 0xffffffffffffffff} {
+		res := &tabula.QueryResult{Epoch: e, Shard: 3, Generation: 1, SampleID: 7}
+		if got, want := string(appendIdentity(nil, res)), fmt.Sprintf("e%x.s3.g1.s7", e); got != want {
+			t.Errorf("appendIdentity(%+v) = %q, want %q", *res, got, want)
+		}
 	}
 }
 

@@ -197,41 +197,68 @@ func TestDecodeAliasesTheBody(t *testing.T) {
 	}
 }
 
+// postOverLimit posts a JSON body one string longer than limit to url,
+// with a Content-Length and without one (chunked), and wants a 413 with
+// the usual error shape both times.
+func postOverLimit(t *testing.T, url string, limit int) {
+	t.Helper()
+	big := `{"cube":"c","pad":"` + strings.Repeat("x", limit) + `"}`
+	for _, chunked := range []bool{false, true} {
+		var body io.Reader = strings.NewReader(big)
+		if chunked {
+			body = io.MultiReader(body) // hides the length: sent chunked
+		}
+		req, err := http.NewRequest("POST", url, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chunked && req.ContentLength != 0 {
+			t.Fatalf("request has Content-Length %d, want a chunked body", req.ContentLength)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || out["error"] == nil {
+			t.Fatalf("%s chunked=%v: %d %v (%v), want 413 with an error", url, chunked, resp.StatusCode, out, err)
+		}
+	}
+}
+
 // A body past maxQueryBody is a 413 with the usual error shape on both
 // routes, with a Content-Length or without one (chunked).
 func TestQueryBodyLimit(t *testing.T) {
 	_, ts, _ := newCubeServer(t)
-	big := `{"cube":"c","pad":"` + strings.Repeat("x", maxQueryBody) + `"}`
 	for _, path := range []string{"/v1/query", "/v1/query/batch"} {
-		for _, chunked := range []bool{false, true} {
-			var body io.Reader = strings.NewReader(big)
-			if chunked {
-				body = io.MultiReader(body) // hides the length: sent chunked
-			}
-			req, err := http.NewRequest("POST", ts.URL+path, body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if chunked && req.ContentLength != 0 {
-				t.Fatalf("request has Content-Length %d, want a chunked body", req.ContentLength)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out map[string]any
-			err = json.NewDecoder(resp.Body).Decode(&out)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || out["error"] == nil {
-				t.Fatalf("%s chunked=%v: %d %v (%v), want 413 with an error", path, chunked, resp.StatusCode, out, err)
-			}
-		}
+		postOverLimit(t, ts.URL+path, maxQueryBody)
 	}
 	// A body just under the limit is read and decoded as usual.
 	pad := maxQueryBody - len(`{"cube":"c","pad":""}`)
 	resp, _ := doQuery(t, ts.URL+"/v1/query", map[string]any{"cube": "c", "pad": strings.Repeat("x", pad)}, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("body of exactly maxQueryBody bytes: %d", resp.StatusCode)
+	}
+}
+
+// /v1/exec and /v1/append bodies are bounded the same way, each by its
+// own limit, and a body within it is still served.
+func TestExecAndAppendBodyLimits(t *testing.T) {
+	_, ts, _ := newCubeServer(t)
+	postOverLimit(t, ts.URL+"/v1/exec", maxExecBody)
+	postOverLimit(t, ts.URL+"/v1/append", maxAppendBody)
+
+	resp, raw := doQuery(t, ts.URL+"/v1/exec", map[string]any{"sql": "SELECT sample FROM c WHERE payment_type = 'cash'"}, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("exec within the limit: %d %s", resp.StatusCode, raw)
+	}
+	resp, raw = doQuery(t, ts.URL+"/v1/append", map[string]any{"cube": "c", "rows": [][]string{
+		{"CMT", "Wed", "1", "cash", "standard", "N", "Wed", "12", "1", "2.5", "-73.97 40.76"},
+	}}, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("append within the limit: %d %s", resp.StatusCode, raw)
 	}
 }
 

@@ -20,7 +20,8 @@
 //
 // Query bodies (/v1/query, /v1/query/batch) are decoded in one pass,
 // without reflection, into pooled scratch whose strings are substrings
-// of the body (decode.go); a body over maxQueryBody is a 413.
+// of the body (decode.go); a body over maxQueryBody is a 413. /v1/exec
+// and /v1/append bodies are bounded too (maxExecBody, maxAppendBody).
 //
 // Observability: with WithMetrics, every route records request counts
 // by status class, a latency histogram and response bytes; the response
@@ -36,12 +37,14 @@
 // those bytes — one gzip member by concatenation when the client
 // accepts gzip, the same bytes inflated when it does not — with a
 // Content-Length that is a sum. Responses carry strong ETags naming
-// {cube, shard, shard generation, sample} (If-None-Match → 304); an
-// Append bumps only the generations of the shards it touched, so ETags
-// of untouched shards survive it, and a sample that survives in a
-// touched shard answers under a new ETag with the bytes it already
-// had. The one cache left is a byte-budget LRU of assembled gzip
-// viewport bodies, keyed by the viewport's identity list.
+// {cube, epoch, shard, shard generation, sample} (If-None-Match → 304),
+// where the epoch names the cube instance, drawn anew by every Build
+// or Load; an Append bumps only the generations of the shards it
+// touched, so ETags of untouched shards survive it, and a sample that
+// survives in a touched shard answers under a new ETag with the bytes
+// it already had. A viewport body carries each physical sample once.
+// The one cache left is a byte-budget LRU of assembled gzip viewport
+// bodies, keyed by the viewport's identity list.
 package server
 
 import (
@@ -215,6 +218,15 @@ type execRequest struct {
 	SQL string `json:"sql"`
 }
 
+// maxExecBody bounds a /v1/exec body, one SQL statement. A longer body
+// is a 413.
+const maxExecBody = 1 << 20
+
+// maxAppendBody bounds a /v1/append body: about a hundred thousand
+// taxi rows in display form. A longer body is a 413; larger ingests
+// send several batches.
+const maxAppendBody = 16 << 20
+
 // queryResponse is the /exec wire shape; Sample holds the table's
 // pre-encoded JSON (see appendTableJSON).
 type queryResponse struct {
@@ -257,7 +269,7 @@ func (s *Server) writeErr(w http.ResponseWriter, status int, err error) {
 }
 
 // writeBodyErr answers a request body that could not be read or
-// decoded: 413 past maxQueryBody, 400 otherwise.
+// decoded: 413 past the route's limit, 400 otherwise.
 func (s *Server) writeBodyErr(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
@@ -269,8 +281,8 @@ func (s *Server) writeBodyErr(w http.ResponseWriter, err error) {
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	var req execRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxExecBody)).Decode(&req); err != nil {
+		s.writeBodyErr(w, err)
 		return
 	}
 	if req.SQL == "" {
@@ -411,8 +423,8 @@ type appendRequest struct {
 // (points as "x y") and are parsed against the cube's schema.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var req appendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAppendBody)).Decode(&req); err != nil {
+		s.writeBodyErr(w, err)
 		return
 	}
 	cube, ok := s.db.CubeByName(req.Cube)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/tabula-db/tabula"
+	"github.com/tabula-db/tabula/internal/wire"
 )
 
 var acceptGzip = map[string]string{"Accept-Encoding": "gzip"}
@@ -44,23 +46,17 @@ func wantQueryBody(res *tabula.QueryResult) []byte {
 }
 
 // wantBatchBody is the /v1/query/batch body by the identity encoder,
-// with the payload dedup written out the long way.
+// with the payload dedup written out the long way: one payload per
+// physical sample, however many shards reach it.
 func wantBatchBody(results []*tabula.QueryResult) []byte {
-	type ident struct {
-		shard      int
-		generation uint64
-		sampleID   int32
-		fromGlobal bool
-	}
-	index := make(map[ident]int)
+	index := make(map[*wire.Cell]int)
 	var payloads [][]byte
 	var entries []string
 	for _, res := range results {
-		id := ident{res.Shard, res.Generation, res.SampleID, res.FromGlobal}
-		j, ok := index[id]
+		j, ok := index[res.Wire]
 		if !ok {
 			j = len(payloads)
-			index[id] = j
+			index[res.Wire] = j
 			payloads = append(payloads, appendTableJSON(nil, res.Sample))
 		}
 		entries = append(entries, fmt.Sprintf(`{"payload":%d,"shard":%d,"generation":%d,"from_global":%v}`,
@@ -108,6 +104,8 @@ func checkBothEncodings(t *testing.T, url string, body any, want []byte) []byte 
 var (
 	cellIceberg = map[string]string{"payment_type": "dispute", "vendor_name": "CMT"}
 	cellGlobal  = map[string]string{"payment_type": "cash"}
+	// The global sample again, through another shard than cellGlobal's.
+	cellGlobalB = map[string]string{"payment_type": "credit"}
 	cellEmpty   = map[string]string{"payment_type": "barter"}
 	// One representative sample, reached through two shards.
 	cellSharedA = map[string]string{"payment_type": "dispute"}
@@ -154,6 +152,7 @@ func TestGzipBodiesAreSingleMembersOfIdentityBytes(t *testing.T) {
 		for name, queries := range map[string][]map[string]string{
 			"duplicates":       {cellIceberg, cellGlobal, cellIceberg, cellIceberg, cellGlobal},
 			"two shards":       {cellSharedA, cellSharedB, cellSharedA},
+			"global twice":     {cellGlobal, cellGlobalB, cellGlobal},
 			"every kind":       {cellEmpty, cellGlobal, cellIceberg, cellSharedB, cellNeighbour, cellEmpty},
 			"one empty answer": {cellEmpty},
 		} {
@@ -239,32 +238,177 @@ func TestAppendKeepsSurvivingSampleBytes(t *testing.T) {
 	}
 }
 
-// fetchAll requests every body with gzip and without, returning the raw
-// response bytes in a fixed order.
-func fetchAll(t *testing.T, url string) [][]byte {
+// A viewport body carries each physical sample once: the global sample
+// and a persisted one, each reached through two shards, are one payload
+// apiece, and every result points at its own cell's sample — with and
+// without the viewport tier, gzip or not. Results keep their per-shard
+// stamps.
+func TestViewportShipsEachSampleOnce(t *testing.T) {
+	for _, cacheBytes := range []int64{DefaultCacheBytes, 0} {
+		_, ts, cube := newCubeServer(t, WithCacheBytes(cacheBytes))
+		g1, g2 := mustQuery(t, cube, cellGlobal), mustQuery(t, cube, cellGlobalB)
+		if !g1.FromGlobal || !g2.FromGlobal || g1.Shard == g2.Shard {
+			t.Fatalf("fixture: %v and %v should reach the global sample through two shards", cellGlobal, cellGlobalB)
+		}
+		a, b := mustQuery(t, cube, cellSharedA), mustQuery(t, cube, cellSharedB)
+		if a.FromGlobal || a.Sample != b.Sample || a.Shard == b.Shard {
+			t.Fatalf("fixture: %v and %v should reach one persisted sample through two shards", cellSharedA, cellSharedB)
+		}
+		results, err := cube.QueryBatchByValues(context.Background(), viewportSamplesTwice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples := make(map[*tabula.Table]bool)
+		for _, res := range results {
+			samples[res.Sample] = true
+		}
+
+		for _, hdr := range []map[string]string{nil, acceptGzip} {
+			resp, raw := doQuery(t, ts.URL+"/v1/query/batch", map[string]any{"cube": "c", "queries": viewportSamplesTwice}, hdr)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d", resp.StatusCode)
+			}
+			body := raw
+			if resp.Header.Get("Content-Encoding") == "gzip" {
+				body = readMember(t, raw)
+			}
+			var got struct {
+				Results []struct {
+					Payload    int    `json:"payload"`
+					Shard      int    `json:"shard"`
+					Generation uint64 `json:"generation"`
+					FromGlobal bool   `json:"from_global"`
+				} `json:"results"`
+				Payloads []json.RawMessage `json:"payloads"`
+			}
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Payloads) != len(samples) || len(got.Results) != len(results) {
+				t.Fatalf("cache %d, %v: %d payloads for %d distinct samples, %d results for %d cells",
+					cacheBytes, hdr, len(got.Payloads), len(samples), len(got.Results), len(results))
+			}
+			for i, r := range got.Results {
+				res := results[i]
+				if r.Shard != res.Shard || r.Generation != res.Generation || r.FromGlobal != res.FromGlobal {
+					t.Fatalf("result %d stamped %+v, the cell answered shard %d generation %d global %v", i, r, res.Shard, res.Generation, res.FromGlobal)
+				}
+				if !bytes.Equal(got.Payloads[r.Payload], appendTableJSON(nil, res.Sample)) {
+					t.Fatalf("result %d points at payload %d, which is not its own sample", i, r.Payload)
+				}
+			}
+		}
+	}
+}
+
+// Registering another cube under a taken name serves the new cube's
+// bytes at once: its answers are the ones a fresh server gives, under
+// the fresh server's ETags, and no ETag of the replaced cube earns a
+// 304 — single cells and viewports, gzip and identity, with the
+// viewport tier and without.
+func TestReplacedCubeServesItsOwnBytes(t *testing.T) {
+	var viewport []map[string]string
+	for _, p := range []string{"", "cash", "credit", "dispute", "no charge"} {
+		for _, v := range []string{"", "CMT", "VTS", "DDS"} {
+			where := map[string]string{}
+			if p != "" {
+				where["payment_type"] = p
+			}
+			if v != "" {
+				where["vendor_name"] = v
+			}
+			viewport = append(viewport, where)
+		}
+	}
+	requests := []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/query", map[string]any{"cube": "c", "where": cellGlobal}},
+		{"/v1/query/batch", map[string]any{"cube": "c", "queries": viewport}},
+	}
+	encodings := []string{"gzip", "identity"}
+	for _, cacheBytes := range []int64{DefaultCacheBytes, 0} {
+		s, ts, _ := newCubeServer(t, WithCacheBytes(cacheBytes))
+		type answer struct {
+			etag string
+			body []byte
+		}
+		var old []answer
+		for _, rq := range requests {
+			for _, enc := range encodings {
+				resp, body := doQuery(t, ts.URL+rq.path, rq.body, map[string]string{"Accept-Encoding": enc})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: status %d", rq.path, resp.StatusCode)
+				}
+				old = append(old, answer{resp.Header.Get("ETag"), body})
+			}
+		}
+
+		replacement := buildTaxiCube(t, 99)
+		s.db.RegisterCube("c", replacement)
+		db := tabula.Open()
+		db.RegisterCube("c", replacement)
+		fresh := httptest.NewServer(New(db, WithCacheBytes(cacheBytes)))
+		t.Cleanup(fresh.Close)
+		k := 0
+		for _, rq := range requests {
+			for _, enc := range encodings {
+				was := old[k]
+				k++
+				resp, body := doQuery(t, ts.URL+rq.path, rq.body, map[string]string{"Accept-Encoding": enc, "If-None-Match": was.etag})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("cache %d, %s %s: status %d for the replaced cube's ETag %s", cacheBytes, rq.path, enc, resp.StatusCode, was.etag)
+				}
+				if bytes.Equal(body, was.body) {
+					t.Fatalf("cache %d, %s %s: the replaced cube's body was served", cacheBytes, rq.path, enc)
+				}
+				wantResp, want := doQuery(t, fresh.URL+rq.path, rq.body, map[string]string{"Accept-Encoding": enc})
+				if !bytes.Equal(body, want) || resp.Header.Get("ETag") != wantResp.Header.Get("ETag") {
+					t.Fatalf("cache %d, %s %s: the body (ETag %s) is not a fresh server's (ETag %s)",
+						cacheBytes, rq.path, enc, resp.Header.Get("ETag"), wantResp.Header.Get("ETag"))
+				}
+			}
+		}
+	}
+}
+
+// fetched is one response of fetchAll.
+type fetched struct {
+	body           []byte
+	etag, encoding string
+}
+
+// viewportSamplesTwice reaches the global sample and one persisted
+// sample each through two shards, besides an empty and an iceberg cell.
+var viewportSamplesTwice = []map[string]string{cellGlobal, cellSharedA, cellEmpty, cellSharedB, cellIceberg, cellGlobalB, cellGlobal}
+
+// fetchAll requests every body with gzip and without, returning the
+// responses in a fixed order.
+func fetchAll(t *testing.T, url string) []fetched {
 	t.Helper()
-	var out [][]byte
+	var out []fetched
 	for _, hdr := range []map[string]string{acceptGzip, nil} {
 		for _, where := range []map[string]string{cellIceberg, cellGlobal, cellEmpty, cellSharedA, cellSharedB, cellNeighbour} {
 			resp, body := doQuery(t, url+"/v1/query", map[string]any{"cube": "c", "where": where}, hdr)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("%v: status %d", where, resp.StatusCode)
 			}
-			out = append(out, body, []byte(resp.Header.Get("ETag")+resp.Header.Get("Content-Encoding")))
+			out = append(out, fetched{body, resp.Header.Get("ETag"), resp.Header.Get("Content-Encoding")})
 		}
-		resp, body := doQuery(t, url+"/v1/query/batch", map[string]any{"cube": "c",
-			"queries": []map[string]string{cellGlobal, cellSharedA, cellEmpty, cellSharedB, cellIceberg, cellGlobal}}, hdr)
+		resp, body := doQuery(t, url+"/v1/query/batch", map[string]any{"cube": "c", "queries": viewportSamplesTwice}, hdr)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch: status %d", resp.StatusCode)
 		}
-		out = append(out, body, []byte(resp.Header.Get("ETag")+resp.Header.Get("Content-Encoding")))
+		out = append(out, fetched{body, resp.Header.Get("ETag"), resp.Header.Get("Content-Encoding")})
 	}
 	return out
 }
 
 // A cube restored by Load starts with empty cells and fills them with
-// the bytes the saved cube served: same bodies, compressed or not, under
-// the same validators.
+// the bytes the saved cube served: same bodies, compressed or not —
+// viewports that reach one sample through several shards included —
+// under new validators, since the loaded cube is another instance.
 func TestSaveLoadServesIdenticalBytes(t *testing.T) {
 	_, ts, cube := newCubeServer(t)
 	want := fetchAll(t, ts.URL)
@@ -286,8 +430,11 @@ func TestSaveLoadServesIdenticalBytes(t *testing.T) {
 	defer ts2.Close()
 	got := fetchAll(t, ts2.URL)
 	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("response part %d differs after Save → Load:\n got %.200q\nwant %.200q", i, got[i], want[i])
+		if !bytes.Equal(got[i].body, want[i].body) || got[i].encoding != want[i].encoding {
+			t.Fatalf("response %d differs after Save → Load:\n got %.200q (%s)\nwant %.200q (%s)", i, got[i].body, got[i].encoding, want[i].body, want[i].encoding)
+		}
+		if got[i].etag == want[i].etag {
+			t.Fatalf("response %d: the loaded cube answers under the saved cube's ETag %s", i, got[i].etag)
 		}
 	}
 	if st := loaded.WireStats(); st != cube.WireStats() {
@@ -307,7 +454,7 @@ func TestEqualETagMeansEqualBytesWithoutCache(t *testing.T) {
 			"queries": []map[string]string{cellNeighbour, cellGlobal, cellEmpty}[:1+round%3]}, acceptGzip)
 		again := fetchAll(t, ts.URL)
 		for i := range first {
-			if !bytes.Equal(again[i], first[i]) {
+			if !bytes.Equal(again[i].body, first[i].body) || again[i].etag != first[i].etag || again[i].encoding != first[i].encoding {
 				t.Fatalf("round %d: response part %d changed between identical requests", round, i)
 			}
 		}
