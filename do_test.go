@@ -211,6 +211,10 @@ func TestExecBuildStageMetrics(t *testing.T) {
 	if v, _ := reg.Value("tabula_samgraph_row_costs_total", MetricLabel{Name: "outcome", Value: "computed"}); v != 0 {
 		t.Errorf("mean-loss join computed %v row costs, want 0", v)
 	}
+	pruned, _ := reg.Value("tabula_samgraph_pairs_pruned_total")
+	if pruned < 1 || pruned > pairs {
+		t.Errorf("tabula_samgraph_pairs_pruned_total = %v of %v pairs after a mean-loss build", pruned, pairs)
+	}
 	if _, err := db.Exec(context.Background(), `
 		CREATE TABLE heat_cube AS
 		SELECT payment_type, vendor_name, SAMPLING(*, 0.001) AS sample
@@ -226,6 +230,9 @@ func TestExecBuildStageMetrics(t *testing.T) {
 	}
 	if v, _ := reg.Value("tabula_samgraph_summaries_total"); v != summaries {
 		t.Errorf("heatmap join folded %v raw summaries, want 0", v-summaries)
+	}
+	if v, _ := reg.Value("tabula_samgraph_pairs_pruned_total"); v != pruned {
+		t.Errorf("heatmap join pruned %v pairs by key, want 0", v-pruned)
 	}
 	if v, _ := reg.Value("tabula_samgraph_pairs_total"); v <= pairs {
 		t.Errorf("tabula_samgraph_pairs_total did not grow with the second build: %v -> %v", pairs, v)

@@ -40,6 +40,11 @@ const (
 	persistVersion = 2
 )
 
+// loadChunk bounds the elements Load allocates for a count read from the
+// stream before the elements themselves arrive: a hostile count costs
+// memory in proportion to the bytes actually present.
+const loadChunk = 1 << 16
+
 // maxPersistShards bounds the shard count read from a stream; anything
 // larger indicates corruption, not configuration.
 const maxPersistShards = 1 << 16
@@ -60,8 +65,8 @@ func readStr(r io.Reader) (string, error) {
 	if n > 1<<24 {
 		return "", fmt.Errorf("core: unreasonable string length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := dataset.ReadSlice[byte](r, int(n))
+	if err != nil {
 		return "", err
 	}
 	return string(buf), nil
@@ -271,13 +276,13 @@ func Load(r io.Reader) (*Tabula, error) {
 		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
 			return nil, err
 		}
-		vals := make([]dataset.Value, n)
-		for i := range vals {
+		vals := make([]dataset.Value, 0, min(n, loadChunk))
+		for i := uint32(0); i < n; i++ {
 			v, err := readValue(br)
 			if err != nil {
 				return nil, err
 			}
-			vals[i] = v
+			vals = append(vals, v)
 		}
 		sn.attrVals[ai] = vals
 		cards[ai] = len(vals)
@@ -317,8 +322,8 @@ func Load(r io.Reader) (*Tabula, error) {
 	if nPool > 1<<24 {
 		return nil, fmt.Errorf("core: unreasonable sample count %d", nPool)
 	}
-	blobs := make([][]byte, nPool)
-	for i := range blobs {
+	blobs := make([][]byte, 0, min(nPool, loadChunk))
+	for i := uint32(0); i < nPool; i++ {
 		var n uint32
 		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
 			return nil, err
@@ -326,11 +331,11 @@ func Load(r io.Reader) (*Tabula, error) {
 		if n > 1<<30 {
 			return nil, fmt.Errorf("core: unreasonable sample size %d", n)
 		}
-		blob := make([]byte, n)
-		if _, err := io.ReadFull(br, blob); err != nil {
+		blob, err := dataset.ReadSlice[byte](br, int(n))
+		if err != nil {
 			return nil, err
 		}
-		blobs[i] = blob
+		blobs = append(blobs, blob)
 	}
 
 	// Read the per-shard sections into raw arrays (sequential: the
@@ -344,13 +349,13 @@ func Load(r io.Reader) (*Tabula, error) {
 		if nRefs > 1<<24 {
 			return nil, fmt.Errorf("core: shard %d has unreasonable sample count %d", si, nRefs)
 		}
-		refs := make([]uint32, nRefs)
-		for i := range refs {
-			if err := binary.Read(br, binary.LittleEndian, &refs[i]); err != nil {
-				return nil, err
-			}
-			if refs[i] >= nPool {
-				return nil, fmt.Errorf("core: shard %d references missing pool sample %d", si, refs[i])
+		refs, err := dataset.ReadSlice[uint32](br, int(nRefs))
+		if err != nil {
+			return nil, err
+		}
+		for _, ref := range refs {
+			if ref >= nPool {
+				return nil, fmt.Errorf("core: shard %d references missing pool sample %d", si, ref)
 			}
 		}
 		var nCells uint32
@@ -360,18 +365,18 @@ func Load(r io.Reader) (*Tabula, error) {
 		if nCells > 1<<28 {
 			return nil, fmt.Errorf("core: shard %d has unreasonable cell count %d", si, nCells)
 		}
-		keys := make([]uint64, nCells)
-		ids := make([]int32, nCells)
-		for i := range keys {
-			if err := binary.Read(br, binary.LittleEndian, &keys[i]); err != nil {
+		keys := make([]uint64, 0, min(nCells, loadChunk))
+		ids := make([]int32, 0, min(nCells, loadChunk))
+		var entry [12]byte // key u64, sample index i32
+		for i := uint32(0); i < nCells; i++ {
+			if _, err := io.ReadFull(br, entry[:]); err != nil {
 				return nil, err
 			}
-			if err := binary.Read(br, binary.LittleEndian, &ids[i]); err != nil {
-				return nil, err
+			key, id := binary.LittleEndian.Uint64(entry[:8]), int32(binary.LittleEndian.Uint32(entry[8:]))
+			if id < 0 || id >= int32(nRefs) {
+				return nil, fmt.Errorf("core: shard %d cube table references missing sample %d", si, id)
 			}
-			if ids[i] < 0 || ids[i] >= int32(nRefs) {
-				return nil, fmt.Errorf("core: shard %d cube table references missing sample %d", si, ids[i])
-			}
+			keys, ids = append(keys, key), append(ids, id)
 		}
 		raws[si] = rawShard{sampleRefs: refs, keys: keys, ids: ids}
 	}

@@ -150,6 +150,10 @@ type Stats struct {
 	// raw-table state scored by every candidate's pair test (0 for losses
 	// whose states depend on the sample).
 	SamGraphSummaries int64
+	// SamGraphPairsPruned is how many of SamGraphPairsTested the join
+	// decided by the target's key alone, outside the candidate's key range
+	// (0 for losses whose evaluators offer no key range).
+	SamGraphPairsPruned int64
 
 	// Memory footprint breakdown in bytes (Figures 9 and 10b): the three
 	// physical components of Tabula.
@@ -517,6 +521,7 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 		sn.stats.SamGraphRowCosts = graph.RowCosts
 		sn.stats.SamGraphRowCostsReused = graph.RowCostsReused
 		sn.stats.SamGraphSummaries = graph.Summaries
+		sn.stats.SamGraphPairsPruned = graph.PairsPruned
 	}
 	// The rest of the stage — copying the persisted samples, assigning
 	// cells, partitioning shards — is the tracer's "materialize".

@@ -188,13 +188,18 @@ func TestStatsPopulated(t *testing.T) {
 		t.Fatal("TotalBytes mismatch")
 	}
 	// Which pair test answered the join: the mean loss scores one raw
-	// summary per iceberg cell, a heatmap sums row costs.
+	// summary per iceberg cell and decides some pairs by its key alone, a
+	// heatmap sums row costs.
 	if s.SamGraphSummaries != int64(s.NumIcebergCells) || s.SamGraphRowCosts != 0 {
 		t.Fatalf("mean join: %d summaries over %d iceberg cells, %d row costs", s.SamGraphSummaries, s.NumIcebergCells, s.SamGraphRowCosts)
 	}
+	if s.SamGraphPairsPruned < 1 || s.SamGraphPairsPruned > s.SamGraphPairsTested {
+		t.Fatalf("mean join: %d of %d pairs pruned", s.SamGraphPairsPruned, s.SamGraphPairsTested)
+	}
 	h := buildTabula(t, tbl, loss.NewHeatmap("pickup", geo.Euclidean), 0.002).Stats()
-	if h.SamGraphSummaries != 0 || h.SamGraphRowCosts == 0 {
-		t.Fatalf("heatmap join: %d summaries, %d row costs over %d iceberg cells", h.SamGraphSummaries, h.SamGraphRowCosts, h.NumIcebergCells)
+	if h.SamGraphSummaries != 0 || h.SamGraphRowCosts == 0 || h.SamGraphPairsPruned != 0 {
+		t.Fatalf("heatmap join: %d summaries, %d row costs, %d pruned pairs over %d iceberg cells",
+			h.SamGraphSummaries, h.SamGraphRowCosts, h.SamGraphPairsPruned, h.NumIcebergCells)
 	}
 }
 

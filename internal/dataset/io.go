@@ -6,6 +6,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -190,9 +192,17 @@ func writeColumn(w io.Writer, c *column) error {
 	return fmt.Errorf("dataset: unknown column type %v", c.typ)
 }
 
-// ReadBinary deserializes a table written by WriteBinary.
+// ReadBinary deserializes a table written by WriteBinary. A reader that
+// already reads single bytes (a bufio.Reader, a bytes.Reader) is read
+// directly; any other is buffered.
 func ReadBinary(r io.Reader) (*Table, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br, ok := r.(interface {
+		io.Reader
+		io.ByteReader
+	})
+	if !ok {
+		br = bufio.NewReaderSize(r, 1<<20)
+	}
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("dataset: reading magic: %w", err)
@@ -233,6 +243,9 @@ func ReadBinary(r io.Reader) (*Table, error) {
 	if err := binary.Read(br, binary.LittleEndian, &nrows); err != nil {
 		return nil, err
 	}
+	if nrows > math.MaxInt32 { // row ids are int32
+		return nil, fmt.Errorf("dataset: unreasonable row count %d", nrows)
+	}
 	t := NewTable(schema)
 	for i, f := range schema {
 		if err := readColumn(br, t.cols[i], int(nrows)); err != nil {
@@ -242,17 +255,41 @@ func ReadBinary(r io.Reader) (*Table, error) {
 	return t, nil
 }
 
+// readChunk is how many values ReadSlice trusts a count for before they
+// have arrived.
+const readChunk = 1 << 16
+
+// ReadSlice reads n little-endian values of a fixed-size type from r. It
+// allocates as the values arrive, never from n alone, so a corrupt or
+// hostile count costs memory in proportion to the bytes actually present:
+// at most readChunk values up front, then doubling.
+func ReadSlice[T any](r io.Reader, n int) ([]T, error) {
+	out := make([]T, 0, min(n, readChunk))
+	for len(out) < n {
+		if len(out) == cap(out) {
+			out = slices.Grow(out, min(n-len(out), len(out)))
+		}
+		next := out[len(out):min(n, cap(out))]
+		if err := binary.Read(r, binary.LittleEndian, next); err != nil {
+			return nil, err
+		}
+		out = out[:len(out)+len(next)]
+	}
+	return out, nil
+}
+
 func readColumn(r io.Reader, c *column, n int) error {
+	var err error
 	switch c.typ {
 	case Int64:
-		c.ints = make([]int64, n)
-		return binary.Read(r, binary.LittleEndian, c.ints)
+		c.ints, err = ReadSlice[int64](r, n)
+		return err
 	case Float64:
-		c.floats = make([]float64, n)
-		return binary.Read(r, binary.LittleEndian, c.floats)
+		c.floats, err = ReadSlice[float64](r, n)
+		return err
 	case Point:
-		flat := make([]float64, n*2)
-		if err := binary.Read(r, binary.LittleEndian, flat); err != nil {
+		flat, err := ReadSlice[float64](r, n*2)
+		if err != nil {
 			return err
 		}
 		c.points = make([]geo.Point, n)
@@ -265,22 +302,24 @@ func readColumn(r io.Reader, c *column, n int) error {
 		if err := binary.Read(r, binary.LittleEndian, &dictLen); err != nil {
 			return err
 		}
-		c.dict = make([]string, dictLen)
-		c.dictID = make(map[string]int32, dictLen)
-		for i := range c.dict {
+		if dictLen > math.MaxInt32 {
+			return fmt.Errorf("unreasonable dictionary size %d", dictLen)
+		}
+		c.dict = make([]string, 0, min(int(dictLen), readChunk))
+		c.dictID = make(map[string]int32, min(int(dictLen), readChunk))
+		for i := 0; i < int(dictLen); i++ {
 			var sl uint32
 			if err := binary.Read(r, binary.LittleEndian, &sl); err != nil {
 				return err
 			}
-			buf := make([]byte, sl)
-			if _, err := io.ReadFull(r, buf); err != nil {
+			buf, err := ReadSlice[byte](r, int(sl))
+			if err != nil {
 				return err
 			}
-			c.dict[i] = string(buf)
+			c.dict = append(c.dict, string(buf))
 			c.dictID[c.dict[i]] = int32(i)
 		}
-		c.codes = make([]int32, n)
-		if err := binary.Read(r, binary.LittleEndian, c.codes); err != nil {
+		if c.codes, err = ReadSlice[int32](r, n); err != nil {
 			return err
 		}
 		for _, code := range c.codes {

@@ -18,6 +18,10 @@
 //   - RawSummarizer.Rebind and RowCoster.RowCost: how the SamGraph join
 //     may test a pair without folding the cell — the states never read the
 //     sample, or the loss is a mean of non-negative per-row costs.
+//   - KeyRanger.Key and KeyRange: how the SamGraph join may skip a pair
+//     without scoring it — a raw summary's loss under a sample can only be
+//     within θ when one scalar of the summary lies in an interval the
+//     sample and θ fix (mean, regression).
 //   - GreedyCapable.NewGreedy: an incremental evaluator that makes each
 //     round of the greedy sampling algorithm (Algorithm 1) cheap.
 //   - MergeSafe: per-cell guarantees compose under disjoint union.
@@ -31,6 +35,7 @@ package loss
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/tabula-db/tabula/internal/dataset"
 )
@@ -191,6 +196,28 @@ type RawSummarizer interface {
 	Rebind(sam dataset.View) (CellEvaluator, error)
 }
 
+// KeyRanger is the capability of raw-summary evaluators whose pair test is
+// decided by one scalar of the cell state: for every state st whose Key is
+// finite and lies outside KeyRange(theta), Loss(st) <= theta is false. A
+// NaN Key bounds nothing — such a state must always be scored — and an
+// empty range (lo > hi) says every finite-keyed state is out of reach.
+//
+// Key reads the state alone, never the bound sample, so a key computed
+// under one evaluator holds under every evaluator rebound from it; Rebind
+// of a KeyRanger returns a KeyRanger. The SamGraph join sorts the targets
+// by key once and scores each candidate only against the slice of keys
+// its range admits. KeyRange never returns a NaN end.
+type KeyRanger interface {
+	RawSummarizer
+	Key(st CellState) float64
+	KeyRange(theta float64) (lo, hi float64)
+}
+
+// noKeys and allKeys are the KeyRanges that admit no finite key and every
+// one.
+func noKeys() (lo, hi float64)  { return math.Inf(1), math.Inf(-1) }
+func allKeys() (lo, hi float64) { return math.Inf(-1), math.Inf(1) }
+
 // RowCoster is the capability of bound evaluators whose loss is the mean
 // of non-negative per-row costs: for any state st folded from rows,
 // Loss(st) equals (Σ RowCost(row)) / len(rows), the sum taken in Add order
@@ -242,4 +269,7 @@ var (
 	_ RawSummarizer = (*distinctCellEvaluator)(nil)
 	_ RawSummarizer = (*topkCellEvaluator)(nil)
 	_ RawSummarizer = dslRawEvaluator{}
+
+	_ KeyRanger = (*meanCellEvaluator)(nil)
+	_ KeyRanger = (*regCellEvaluator)(nil)
 )

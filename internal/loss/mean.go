@@ -134,6 +134,75 @@ func (e *meanCellEvaluator) Loss(st CellState) float64 {
 
 func (e *meanCellEvaluator) StateBytes() int64 { return 16 }
 
+// Key implements KeyRanger: the raw average, the very float relMeanLoss
+// divides by. It is NaN for an empty cell (loss 0), a zero average (the
+// absolute branch, loss |AVG(Sam)|) and a non-finite one.
+func (e *meanCellEvaluator) Key(st CellState) float64 {
+	s := st.(*meanCellState)
+	if s.n == 0 {
+		return math.NaN()
+	}
+	a := s.sum / float64(s.n)
+	if a == 0 || math.IsInf(a, 0) {
+		return math.NaN()
+	}
+	return a
+}
+
+// Bounds of Mean's KeyRange, derived in its comment.
+const (
+	meanKeyMargin   = 0x1p-30     // relative widening of both ends
+	meanKeyMaxTheta = 1 - 0x1p-20 // above it the range is the whole line
+	meanKeyMinAvg   = 0x1p-1000   // below it too: the ends could be subnormal
+)
+
+// KeyRange implements KeyRanger. With b = AVG(Sam), a raw average a is
+// within θ < 1 of b only in b/(1+θ) … b/(1−θ) (mirrored for b < 0): the
+// ratio b/a must lie in [1−θ, 1+θ]. Above θ = 1 the set becomes two rays,
+// so near 1 and beyond, the whole line is returned; an empty sample (loss
+// +Inf) or a non-finite b (loss +Inf or NaN) admits nothing.
+//
+// Why rounding cannot put an edge outside the range. Let u = 2⁻⁵³ and a
+// be a finite, non-zero key outside [lo, hi]. relMeanLoss computes
+// |fl(fl(a−b)/a)|. The subtraction errs by a factor within 1±u, and so
+// does the division: for a ≠ b its quotient is at least 2⁻⁵⁴ (distinct
+// floats differ relatively by that much), so it never underflows, and an
+// overflow gives +Inf, which is no edge. The computed loss is therefore at
+// least |1 − b/a|·(1−u)², so it can be within θ only if |1 − b/a| ≤
+// θ' = θ(1+3u), which for b > 0 confines a to [b/(1+θ'), b/(1−θ')].
+// Against the plain ends b/(1±θ): b/(1+θ') ≥ b/(1+θ)·(1−3u), and, for
+// 1−θ ≥ 2⁻²⁰, b/(1−θ') ≤ b/(1−θ)·(1 + 3u·2²⁰·2) = b/(1−θ)·(1 + 6·2⁻³³).
+// Computing each end (a sum, a division and the margin's product) errs by
+// at most (1±u)³, so the 2⁻³⁰ margin leaves lo below the first bound and hi
+// above the second with room to spare. Every end is a normal float when
+// |b| ≥ 2⁻¹⁰⁰⁰, which the relative error bounds need; smaller |b| (b = 0
+// among them) gets the whole line.
+func (e *meanCellEvaluator) KeyRange(theta float64) (lo, hi float64) {
+	if !(theta >= 0) { // a loss is never negative; nothing is within NaN
+		return noKeys()
+	}
+	if theta > meanKeyMaxTheta {
+		return allKeys()
+	}
+	if e.samN == 0 {
+		return noKeys()
+	}
+	b := e.samSum / float64(e.samN)
+	m := math.Abs(b)
+	switch {
+	case math.IsNaN(b) || math.IsInf(b, 0):
+		return noKeys()
+	case m < meanKeyMinAvg:
+		return allKeys()
+	}
+	lo = m / (1 + theta) * (1 - meanKeyMargin)
+	hi = m / (1 - theta) * (1 + meanKeyMargin)
+	if b < 0 {
+		lo, hi = -hi, -lo
+	}
+	return lo, hi
+}
+
 // meanDense holds the (Σ target, count) states as two flat slices.
 type meanDense struct {
 	ev  *meanCellEvaluator

@@ -128,6 +128,45 @@ func (e *regCellEvaluator) Loss(st CellState) float64 {
 
 func (e *regCellEvaluator) StateBytes() int64 { return 40 }
 
+// Key implements KeyRanger: the raw regression angle, the very float
+// regAngleLoss subtracts from. It is NaN when the raw line is undefined
+// (loss 0).
+func (e *regCellEvaluator) Key(st CellState) float64 {
+	return st.(*engine.RegressionState).Angle()
+}
+
+// regKeyMinTheta is the smallest positive θ Regression's KeyRange bounds;
+// below it, the widening in its comment could be subnormal.
+const regKeyMinTheta = 0x1p-960
+
+// KeyRange implements KeyRanger. With s the sample angle, a raw angle r is
+// within θ only in [s−θ, s+θ], widened by w = (|s|+θ)·2⁻⁵⁰, four ulps of
+// |s|+θ. An undefined sample line (loss +Inf) admits nothing.
+//
+// Why rounding cannot put an edge outside the range: let u = 2⁻⁵³. The
+// computed hi = fl(fl(s+θ) + w) is at least s + θ + w − 3u(|s|+θ) ≥
+// s + θ + 4uθ, since fl(w) ≥ 8u(|s|+θ)(1−u). A float r > hi has
+// r − s > θ(1+4u), and fl(r − s) ≥ (r − s)(1−u) > θ: the loss
+// |fl(r − s)| exceeds θ. The lower end mirrors it. At θ = 0 the range is
+// [s, s] itself: fl(r − s) is 0 only when r = s.
+func (e *regCellEvaluator) KeyRange(theta float64) (lo, hi float64) {
+	s := e.sam.Angle()
+	switch {
+	case !(theta >= 0): // a loss is never negative; nothing is within NaN
+		return noKeys()
+	case math.IsInf(theta, 1):
+		return allKeys()
+	case math.IsNaN(s):
+		return noKeys()
+	case theta == 0:
+		return s, s
+	case theta < regKeyMinTheta:
+		return allKeys()
+	}
+	w := (math.Abs(s) + theta) * 0x1p-50
+	return s - theta - w, s + theta + w
+}
+
 // regDense holds the regression sufficient statistics by value in one
 // flat slice — AddXY on &states[s] is a concrete (inlinable) call, and a
 // cuboid's worth of states is a single allocation.

@@ -8,6 +8,8 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -46,6 +48,10 @@ type Graph struct {
 	// state that every candidate's pair test then scored, for losses whose
 	// bound evaluators are loss.RawSummarizers (0 otherwise).
 	Summaries int64
+	// PairsPruned counts the pairs among PairsTested that were decided by
+	// the target's key alone, outside the candidate's key range, for losses
+	// whose bound evaluators are loss.KeyRangers (0 otherwise).
+	PairsPruned int64
 }
 
 // NumVertices returns the vertex count.
@@ -227,13 +233,20 @@ type join struct {
 	// states[u] is then vertices[u].Rows folded in row order.
 	sum    loss.RawSummarizer
 	states []loss.CellState
+	// keyed is set when sum is also a loss.KeyRanger: the targets with a
+	// finite key, ascending by key, keys[i] being keyed[i]'s; unkeyed are
+	// the others, which every candidate scores.
+	keys           []float64
+	keyed, unkeyed []int32
 }
 
-// joinWorker is one goroutine's pair count and its row-cost memo (created
-// for the first loss.RowCoster candidate).
+// joinWorker is one goroutine's pair counts, its row-cost memo (created
+// for the first loss.RowCoster candidate) and its edge bitset (for the
+// first loss.KeyRanger candidate; all zero between candidates).
 type joinWorker struct {
-	pairs int64
-	memo  *costMemo
+	pairs, pruned int64
+	memo          *costMemo
+	marks         []uint64
 }
 
 // admitted reports whether the candidate of the given rank gets to test
@@ -249,6 +262,20 @@ func (j *join) admitted(rank, u int) bool {
 		rank-- // u itself is skipped, freeing one budget slot
 	}
 	return rank < j.maxCand
+}
+
+// admittedCount is how many targets the candidate of the given rank may
+// test, admitted summed over every other vertex: all of them below the
+// MaxCandidates budget, the budget's worth ranked ahead of it at the
+// budget, none beyond.
+func (j *join) admittedCount(rank int) int64 {
+	switch {
+	case j.maxCand <= 0 || rank < j.maxCand:
+		return int64(len(j.vertices) - 1)
+	case rank == j.maxCand:
+		return int64(j.maxCand)
+	}
+	return 0
 }
 
 // candidate binds the sample of the candidate with the given rank, tests it
@@ -269,6 +296,9 @@ func (j *join) candidate(ctx context.Context, wk *joinWorker, rank int) error {
 	}
 	if err != nil {
 		return fmt.Errorf("samgraph: binding candidate %d: %w", v, err)
+	}
+	if kr, ok := ev.(loss.KeyRanger); ok && j.keys != nil {
+		return j.ranged(ctx, wk, rank, kr)
 	}
 	rc, byCosts := ev.(loss.RowCoster)
 	if byCosts {
@@ -314,6 +344,62 @@ func (j *join) candidate(ctx context.Context, wk *joinWorker, rank int) error {
 	return nil
 }
 
+// ranged is candidate's pair test for a loss.KeyRanger: it scores only the
+// targets whose key lies in the candidate's KeyRange, plus those without
+// a finite key; every other admitted target is no edge by the capability's
+// contract and is counted as pruned. Edges are marked in the worker's
+// bitset and emitted ascending into a list of exactly their number, so a
+// candidate allocates once.
+//
+//lint:hot the scoring loop runs once per candidate pair within range.
+func (j *join) ranged(ctx context.Context, wk *joinWorker, rank int, kr loss.KeyRanger) error {
+	v := j.order[rank]
+	admitted := j.admittedCount(rank)
+	if admitted == 0 {
+		return nil // out[v] keeps its self-edge alone
+	}
+	lo, hi := kr.KeyRange(j.theta)
+	from := sort.SearchFloat64s(j.keys, lo)
+	to := from + sort.Search(len(j.keys)-from, func(i int) bool { return j.keys[from+i] > hi })
+	if wk.marks == nil {
+		wk.marks = make([]uint64, (len(j.vertices)+63)/64)
+	}
+	marks := wk.marks
+	var tested int64
+	for _, targets := range [2][]int32{j.keyed[from:to], j.unkeyed} {
+		for _, u := range targets {
+			if int(u) == v || !j.admitted(rank, int(u)) {
+				continue
+			}
+			if tested%cancelCheckTargets == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			tested++
+			if kr.Loss(j.states[u]) <= j.theta {
+				marks[u>>6] |= 1 << (u & 63)
+			}
+		}
+	}
+	marks[v>>6] |= 1 << (v & 63)
+	var edges int
+	for _, w := range marks {
+		edges += bits.OnesCount64(w)
+	}
+	out := make([]int, 0, edges)
+	for i, w := range marks {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, i<<6|bits.TrailingZeros64(w))
+		}
+		marks[i] = 0
+	}
+	j.out[v] = out
+	wk.pairs += admitted
+	wk.pruned += admitted - tested
+	return nil
+}
+
 // Build constructs the SamGraph over the given vertices: a similarity
 // self-join of the cube table with the predicate
 // loss(t1.cellrawdata, t2.sample) ≤ theta (a NaN loss satisfies no
@@ -322,7 +408,10 @@ func (j *join) candidate(ctx context.Context, wk *joinWorker, rank int) error {
 //
 //   - loss.RawSummarizer: cell states never read the sample, so every
 //     target is folded once, in row order, and a pair is one Loss call on
-//     the candidate's rebound evaluator;
+//     the candidate's rebound evaluator; if it is also a loss.KeyRanger,
+//     the targets are sorted by key once and a candidate scores only those
+//     in its key range (and those without a finite key) — the others can
+//     be no edge;
 //   - loss.RowCoster: the loss is a mean of non-negative row costs, so a
 //     pair is rejected as soon as a partial sum passes theta·|rows|, and
 //     each worker remembers the current candidate's row costs across
@@ -376,6 +465,11 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 		if sum, ok := probe.(loss.RawSummarizer); ok {
 			done := obs.StartStage(ctx, "samgraph_summaries")
 			j.sum, j.states = sum, make([]loss.CellState, n)
+			kr, ranged := probe.(loss.KeyRanger)
+			var keys []float64
+			if ranged {
+				keys = make([]float64, n)
+			}
 			err := forEach(ctx, workers, n, func(_, u int) error {
 				st := sum.NewState()
 				for i, row := range vertices[u].Rows {
@@ -387,8 +481,14 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 					sum.Add(st, row)
 				}
 				j.states[u] = st
+				if ranged {
+					keys[u] = kr.Key(st)
+				}
 				return nil
 			})
+			if err == nil && ranged {
+				j.sortKeys(keys)
+			}
 			done()
 			if err != nil {
 				return nil, err
@@ -405,6 +505,7 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 	var rowComputed int64
 	for _, wk := range wks {
 		g.PairsTested += wk.pairs
+		g.PairsPruned += wk.pruned
 		if wk.memo != nil {
 			g.RowCosts += wk.memo.costs
 			rowComputed += wk.memo.computed
@@ -414,10 +515,27 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 	st := obs.StagesFrom(ctx)
 	st.Count("tabula_samgraph_pairs_total", "SamGraph join representation tests performed.", g.PairsTested)
 	st.Count("tabula_samgraph_summaries_total", "Target cells the SamGraph join folded once into a raw summary that every candidate's pair test scored.", g.Summaries)
+	st.Count("tabula_samgraph_pairs_pruned_total", "SamGraph join representation tests decided by the target's key alone, outside the candidate's key range.", g.PairsPruned)
 	const costsHelp = "Row costs summed by SamGraph pair tests: computed by the loss evaluator, or reused from an earlier target of the same candidate."
 	st.Count("tabula_samgraph_row_costs_total", costsHelp, g.RowCosts-g.RowCostsReused, obs.Label{Name: "outcome", Value: "computed"})
 	st.Count("tabula_samgraph_row_costs_total", costsHelp, g.RowCostsReused, obs.Label{Name: "outcome", Value: "reused"})
 	return g, nil
+}
+
+// sortKeys fills keyed, keys and unkeyed from every target's key.
+func (j *join) sortKeys(keys []float64) {
+	for u, k := range keys {
+		if math.IsNaN(k) || math.IsInf(k, 0) {
+			j.unkeyed = append(j.unkeyed, int32(u))
+		} else {
+			j.keyed = append(j.keyed, int32(u))
+		}
+	}
+	sort.Slice(j.keyed, func(a, b int) bool { return keys[j.keyed[a]] < keys[j.keyed[b]] })
+	j.keys = make([]float64, len(j.keyed))
+	for i, u := range j.keyed {
+		j.keys[i] = keys[u]
+	}
 }
 
 // Result is the outcome of representative sample selection.

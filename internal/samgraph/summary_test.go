@@ -330,6 +330,7 @@ func joinBench(b *testing.B, f loss.Func, theta float64) {
 		if i == 0 {
 			b.ReportMetric(float64(g.PairsTested), "pairs")
 			b.ReportMetric(float64(g.Summaries), "summaries")
+			b.ReportMetric(float64(g.PairsPruned), "pruned")
 		}
 	}
 }

@@ -72,6 +72,7 @@ for family in \
 	tabula_build_stage_seconds \
 	tabula_samgraph_pairs_total \
 	tabula_samgraph_summaries_total \
+	tabula_samgraph_pairs_pruned_total \
 	tabula_cube_version; do
 	if ! grep -q "^${family}" "${TMP}/metrics.txt"; then
 		echo "metrics-smoke: exposition is missing ${family}" >&2
