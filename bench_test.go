@@ -293,7 +293,8 @@ func BenchmarkAblationDryRun(b *testing.B) {
 	})
 }
 
-// SamGraph join: algebraic early-abort evaluator vs generic Loss calls.
+// SamGraph selection of a row-cost loss: the cover pass with early abort
+// vs the exhaustive join through generic Loss calls.
 func BenchmarkAblationSamGraphJoin(b *testing.B) {
 	vertices := benchVertices(b, 30)
 	f := loss.NewHistogram(nyctaxi.ColFare)
@@ -313,9 +314,10 @@ func BenchmarkAblationSamGraphJoin(b *testing.B) {
 	})
 }
 
-// Parallel SamGraph similarity join across worker counts. The output is
-// byte-identical at every width (see internal/samgraph/parallel_test.go);
-// this measures only the wall-clock scaling of the O(n²) pair tests.
+// Parallel SamGraph cover pass (a row-cost loss) across worker counts. The
+// output is byte-identical at every width (see
+// internal/samgraph/rowcost_test.go); this measures only the wall-clock
+// scaling of the pair tests.
 func BenchmarkAblationParallelSamGraph(b *testing.B) {
 	vertices := benchVertices(b, 40)
 	f := loss.NewHistogram(nyctaxi.ColFare)

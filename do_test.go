@@ -195,10 +195,11 @@ func TestExecBuildStageMetrics(t *testing.T) {
 			t.Errorf("stage %q: %v observations (ok=%v), want >= 1", stage, v, ok)
 		}
 	}
-	// The join's work counts sit next to its wall time, and say which pair
-	// test answered. The mean loss folds every iceberg cell once into a raw
-	// summary and has no per-row costs; a heatmap cube is the other way
-	// round, and its cells share raw rows.
+	// The join's work counts sit next to its wall time, and say which path
+	// and pair test answered. The mean loss folds every iceberg cell once
+	// into a raw summary and has no per-row costs; a heatmap cube is the
+	// other way round, its cells share raw rows, and it takes the cover
+	// pass.
 	pairs, _ := reg.Value("tabula_samgraph_pairs_total")
 	if pairs < 1 {
 		t.Errorf("tabula_samgraph_pairs_total = %v after a build with sample selection", pairs)
@@ -214,6 +215,11 @@ func TestExecBuildStageMetrics(t *testing.T) {
 	pruned, _ := reg.Value("tabula_samgraph_pairs_pruned_total")
 	if pruned < 1 || pruned > pairs {
 		t.Errorf("tabula_samgraph_pairs_pruned_total = %v of %v pairs after a mean-loss build", pruned, pairs)
+	}
+	// Which selection path the build took: the mean loss takes the join,
+	// so the cover pass ran no tests — yet its series is exported.
+	if v, ok := reg.Value("tabula_samgraph_cover_tests_total"); !ok || v != 0 {
+		t.Errorf("tabula_samgraph_cover_tests_total = %v (ok=%v) after a mean-loss build, want 0", v, ok)
 	}
 	if _, err := db.Exec(context.Background(), `
 		CREATE TABLE heat_cube AS
@@ -234,8 +240,14 @@ func TestExecBuildStageMetrics(t *testing.T) {
 	if v, _ := reg.Value("tabula_samgraph_pairs_pruned_total"); v != pruned {
 		t.Errorf("heatmap join pruned %v pairs by key, want 0", v-pruned)
 	}
-	if v, _ := reg.Value("tabula_samgraph_pairs_total"); v <= pairs {
-		t.Errorf("tabula_samgraph_pairs_total did not grow with the second build: %v -> %v", pairs, v)
+	heatPairs, _ := reg.Value("tabula_samgraph_pairs_total")
+	if heatPairs <= pairs {
+		t.Errorf("tabula_samgraph_pairs_total did not grow with the second build: %v -> %v", pairs, heatPairs)
+	}
+	// A heatmap's pair test sums row costs, so every one of its tests was
+	// the cover pass's.
+	if v, _ := reg.Value("tabula_samgraph_cover_tests_total"); v != heatPairs-pairs {
+		t.Errorf("heatmap build ran %v cover tests of its %v pair tests, want all", v, heatPairs-pairs)
 	}
 	// The cube registered by Exec exports its snapshot gauges too.
 	if v, ok := reg.Value("tabula_cube_version", MetricLabel{Name: "cube", Value: "ride_cube"}); !ok || v != 1 {

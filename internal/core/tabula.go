@@ -140,10 +140,15 @@ type Stats struct {
 	NumPersistedSamples int
 	SamGraphEdges       int
 	SamGraphPairsTested int64
-	// SamGraphRowCosts is how many per-row costs the join's pair tests
-	// summed and SamGraphRowCostsReused how many of those were remembered
-	// from an earlier target instead of recomputed (both 0 for losses
-	// without per-row costs).
+	// SamGraphCoverTests is how many of SamGraphPairsTested the cover pass
+	// ran — each cell tested only against the representatives chosen
+	// before it — rather than the exhaustive join (0 for losses without
+	// per-row costs, which take the join).
+	SamGraphCoverTests int64
+	// SamGraphRowCosts is how many per-row costs the cover pass's pair
+	// tests summed and SamGraphRowCostsReused how many of those were
+	// remembered from an earlier target instead of recomputed (both 0 for
+	// losses without per-row costs).
 	SamGraphRowCosts       int64
 	SamGraphRowCostsReused int64
 	// SamGraphSummaries is how many cells the join folded once into a
@@ -518,6 +523,7 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 		doneSelect()
 		sn.stats.SamGraphEdges = graph.NumEdges()
 		sn.stats.SamGraphPairsTested = graph.PairsTested
+		sn.stats.SamGraphCoverTests = graph.CoverTests
 		sn.stats.SamGraphRowCosts = graph.RowCosts
 		sn.stats.SamGraphRowCostsReused = graph.RowCostsReused
 		sn.stats.SamGraphSummaries = graph.Summaries

@@ -187,19 +187,21 @@ func TestStatsPopulated(t *testing.T) {
 	if s.TotalBytes() != s.GlobalSampleBytes+s.CubeTableBytes+s.SampleTableBytes {
 		t.Fatal("TotalBytes mismatch")
 	}
-	// Which pair test answered the join: the mean loss scores one raw
-	// summary per iceberg cell and decides some pairs by its key alone, a
-	// heatmap sums row costs.
-	if s.SamGraphSummaries != int64(s.NumIcebergCells) || s.SamGraphRowCosts != 0 {
-		t.Fatalf("mean join: %d summaries over %d iceberg cells, %d row costs", s.SamGraphSummaries, s.NumIcebergCells, s.SamGraphRowCosts)
+	// Which path and pair test answered: the mean loss takes the join,
+	// scores one raw summary per iceberg cell and decides some pairs by its
+	// key alone; a heatmap sums row costs in the cover pass.
+	if s.SamGraphSummaries != int64(s.NumIcebergCells) || s.SamGraphRowCosts != 0 || s.SamGraphCoverTests != 0 {
+		t.Fatalf("mean join: %d summaries over %d iceberg cells, %d row costs, %d cover tests",
+			s.SamGraphSummaries, s.NumIcebergCells, s.SamGraphRowCosts, s.SamGraphCoverTests)
 	}
 	if s.SamGraphPairsPruned < 1 || s.SamGraphPairsPruned > s.SamGraphPairsTested {
 		t.Fatalf("mean join: %d of %d pairs pruned", s.SamGraphPairsPruned, s.SamGraphPairsTested)
 	}
 	h := buildTabula(t, tbl, loss.NewHeatmap("pickup", geo.Euclidean), 0.002).Stats()
-	if h.SamGraphSummaries != 0 || h.SamGraphRowCosts == 0 || h.SamGraphPairsPruned != 0 {
-		t.Fatalf("heatmap join: %d summaries, %d row costs, %d pruned pairs over %d iceberg cells",
-			h.SamGraphSummaries, h.SamGraphRowCosts, h.SamGraphPairsPruned, h.NumIcebergCells)
+	if h.SamGraphSummaries != 0 || h.SamGraphRowCosts == 0 || h.SamGraphPairsPruned != 0 ||
+		h.SamGraphCoverTests == 0 || h.SamGraphCoverTests != h.SamGraphPairsTested {
+		t.Fatalf("heatmap cover: %d summaries, %d row costs, %d pruned pairs, %d of %d tests by the cover pass over %d iceberg cells",
+			h.SamGraphSummaries, h.SamGraphRowCosts, h.SamGraphPairsPruned, h.SamGraphCoverTests, h.SamGraphPairsTested, h.NumIcebergCells)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/tabula-db/tabula/internal/geo"
 	"github.com/tabula-db/tabula/internal/loss"
 	"github.com/tabula-db/tabula/internal/sampling"
 )
@@ -120,5 +121,55 @@ func TestRealRunCancelled(t *testing.T) {
 	_, err = RealRun(ctx, tbl, enc, codec, dry, f, 0.1, RealRunOptions{Greedy: sampling.DefaultGreedyOptions()})
 	if err != context.Canceled {
 		t.Fatalf("RealRun err = %v, want context.Canceled", err)
+	}
+}
+
+// Workers are fed the largest cells first, but a cell's sample depends on
+// its own rows alone: the cells, their order and every SampleRows must be
+// identical at every worker count.
+func TestRealRunWorkersEquivalent(t *testing.T) {
+	tbl := taxiMini(1500, 95)
+	enc, codec := setupCube(t, tbl)
+	for _, tc := range []struct {
+		f     loss.Func
+		theta float64
+	}{
+		{loss.NewMean("fare"), 0.08},
+		{loss.NewHeatmap("pickup", geo.Euclidean), 0.004},
+	} {
+		ev, err := tc.f.(loss.DryRunner).BindSample(tbl, globalSample(tbl, 150, 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dry, err := DryRun(context.Background(), tbl, enc, codec, ev, tc.theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dry.TotalIcebergCells() < 4 {
+			t.Fatalf("%s: %d iceberg cells, want several to deal out", tc.f.Name(), dry.TotalIcebergCells())
+		}
+		var ref *RealRunResult
+		for _, workers := range []int{1, 2, 4} {
+			got, err := RealRun(context.Background(), tbl, enc, codec, dry, tc.f, tc.theta, RealRunOptions{
+				Greedy: sampling.DefaultGreedyOptions(), Workers: workers, KeepRawRows: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if len(got.Cells) != len(ref.Cells) {
+				t.Fatalf("%s workers=%d: %d cells, workers=1 has %d", tc.f.Name(), workers, len(got.Cells), len(ref.Cells))
+			}
+			for i, c := range got.Cells {
+				r := ref.Cells[i]
+				if c.Key != r.Key || c.Mask != r.Mask || !reflect.DeepEqual(c.SampleRows, r.SampleRows) {
+					t.Fatalf("%s workers=%d: cell %d is (%b, %d) with sample %v, workers=1 has (%b, %d) with %v",
+						tc.f.Name(), workers, i, c.Mask, c.Key, c.SampleRows, r.Mask, r.Key, r.SampleRows)
+				}
+			}
+		}
 	}
 }

@@ -168,7 +168,21 @@ func RealRun(ctx context.Context, tbl *dataset.Table, enc *engine.CatEncoding, c
 		}
 	}
 
-	// Draw local samples in parallel across cells.
+	// Draw local samples in parallel across cells, largest first (longest
+	// processing time first): a cell's sample depends on its own rows
+	// alone, so the order changes no sample, but a big cell dealt last
+	// would leave the other workers idle while it runs.
+	feed := make([]int, len(res.Cells))
+	for i := range feed {
+		feed[i] = i
+	}
+	sort.Slice(feed, func(a, b int) bool {
+		na, nb := len(res.Cells[feed[a]].Rows), len(res.Cells[feed[b]].Rows)
+		if na != nb {
+			return na > nb
+		}
+		return feed[a] < feed[b]
+	})
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -183,8 +197,9 @@ func RealRun(ctx context.Context, tbl *dataset.Table, enc *engine.CatEncoding, c
 	errs := make([]error, workers)
 	next := make(chan int)
 	go func() {
-		//lint:ignore ctxpoll the feeder blocks on the channel; workers poll ctx and drain it on cancellation, so the feeder always exits
-		for i := range res.Cells {
+		// The feeder blocks on the channel; workers poll ctx and drain it
+		// on cancellation, so the feeder always exits.
+		for _, i := range feed {
 			next <- i
 		}
 		close(next)

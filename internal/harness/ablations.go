@@ -193,7 +193,9 @@ func AblationCostModel(s Scale, progress io.Writer) ([]*Report, error) {
 	return []*Report{rep}, nil
 }
 
-// AblationSamGraph compares the selection join's evaluation strategies.
+// AblationSamGraph compares the selection stage's strategies: the
+// cover-first pass a row-cost loss takes, and the exhaustive join of the
+// same loss behind an opaque Func.
 func AblationSamGraph(s Scale, progress io.Writer) ([]*Report, error) {
 	tbl := nyctaxi.Generate(s.Rows/4, s.Seed)
 	f := loss.NewHistogram(nyctaxi.ColFare)
@@ -221,8 +223,8 @@ func AblationSamGraph(s Scale, progress io.Writer) ([]*Report, error) {
 		Title:   fmt.Sprintf("SamGraph join ablation over %d iceberg cells (%d rows)", len(vertices), tbl.NumRows()),
 		Columns: []string{"strategy", "join time", "pairs tested", "representatives"},
 		Notes: []string{
-			"expected shape: the candidate cap bounds pairs tested, trading extra representatives for join time",
-			"the algebraic rows take the join's row-cost path (early abort plus per-candidate cost reuse), which the histogram loss shares with the 2-D heatmap; the generic row re-sorts the sample and walks every row on each pair",
+			"expected shape: cover-first tests each cell only against the representatives chosen before it, so it tests far fewer pairs than the capped generic join; the cap bounds a cell's tests to its first 24 representatives, which can only add representatives",
+			"the cover-first rows take the row-cost pass (early abort plus per-block cost reuse), which the histogram loss shares with the 2-D heatmap; the generic row hides the loss's evaluators, so it takes the exhaustive join, re-sorts the sample and walks every row on each pair",
 			"losses whose cell states are raw summaries (mean, regression, distinct, top-k) skip both: each cell is folded once and a pair is one O(1) Loss call (DESIGN.md §7.11)",
 		},
 	}
@@ -240,10 +242,10 @@ func AblationSamGraph(s Scale, progress io.Writer) ([]*Report, error) {
 			fmt.Sprintf("%d", g.PairsTested), fmt.Sprintf("%d", len(sel.Representatives)))
 		return nil
 	}
-	if err := run("algebraic early-abort, exhaustive", f, samgraph.BuildOptions{}); err != nil {
+	if err := run("cover-first, row-cost early abort", f, samgraph.BuildOptions{}); err != nil {
 		return nil, err
 	}
-	if err := run("algebraic early-abort, cap 24", f, samgraph.BuildOptions{MaxCandidates: 24}); err != nil {
+	if err := run("cover-first, row-cost early abort, cap 24", f, samgraph.BuildOptions{MaxCandidates: 24}); err != nil {
 		return nil, err
 	}
 	if err := run("generic Loss calls, cap 24", opaqueLoss{f}, samgraph.BuildOptions{MaxCandidates: 24}); err != nil {

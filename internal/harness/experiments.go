@@ -89,8 +89,9 @@ func tabulaParams(task Task, theta float64, attrs []string, seed int64, selectio
 	p.Seed = seed
 	p.SampleSelection = selection
 	p.Greedy.CandidateCap = flyCandidateCap
-	// Cap the SamGraph similarity join (the paper allows a non-exhaustive
-	// join); largest-sample-first ordering keeps coverage high.
+	// Cap the SamGraph tests per cell (the paper allows a non-exhaustive
+	// join): the exhaustive join tests a cell against the 24 largest
+	// samples, the cover pass against the first 24 representatives.
 	p.SamGraph.MaxCandidates = 24
 	return p
 }

@@ -15,9 +15,10 @@
 //     sample, producing mergeable per-cell states (the dry-run stage and
 //     the SamGraph similarity join both use this); ChunkEvaluator is its
 //     columnar form for the vectorized scan.
-//   - RawSummarizer.Rebind and RowCoster.RowCost: how the SamGraph join
+//   - RawSummarizer.Rebind and RowCoster.RowCost: how SamGraph selection
 //     may test a pair without folding the cell — the states never read the
-//     sample, or the loss is a mean of non-negative per-row costs.
+//     sample, or the loss is a mean of non-negative per-row costs (such
+//     losses take the cover pass instead of the exhaustive join).
 //   - KeyRanger.Key and KeyRange: how the SamGraph join may skip a pair
 //     without scoring it — a raw summary's loss under a sample can only be
 //     within θ when one scalar of the summary lies in an interval the
@@ -225,8 +226,10 @@ func allKeys() (lo, hi float64) { return math.Inf(-1), math.Inf(1) }
 // histogram) have it — a row's cost is its distance to the nearest tuple
 // of the bound sample, +Inf when the sample is empty. Because costs never
 // go negative, the cost of any subset of a cell's rows is a lower bound on
-// the cell's distance sum; the SamGraph join uses that to reject a
-// candidate pair from a prefix of the rows instead of the whole cell.
+// the cell's distance sum; SamGraph selection uses that to reject a pair
+// from a prefix of the rows instead of the whole cell. RowCost must be
+// safe to call from several goroutines on one evaluator: the cover pass
+// shares a representative's evaluator between its workers.
 type RowCoster interface {
 	CellEvaluator
 	RowCost(row int32) float64

@@ -13,8 +13,9 @@ import (
 
 // buildSequential is the single-threaded reference join: one candidate
 // at a time, the MaxCandidates budget counted as tests happen, every
-// tested cell folded whole. It is the ground truth the parallel Build is
-// equivalence-tested against.
+// tested cell folded whole. It is the ground truth the parallel join is
+// equivalence-tested against; the cover pass of row-cost losses has
+// wantCover (rowcost_test.go) instead.
 func buildSequential(tbl *dataset.Table, vertices []Vertex, f loss.Func, theta float64, opts BuildOptions) (*Graph, error) {
 	n := len(vertices)
 	g := &Graph{Out: make([][]int, n)}

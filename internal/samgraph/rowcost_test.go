@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"github.com/tabula-db/tabula/internal/dataset"
@@ -147,10 +148,87 @@ func wantGraph(vertices []Vertex, m [][]float64, theta float64, maxCand int) ([]
 	return out, pairs
 }
 
-// The join must produce exactly the edges the loss definition gives on the
-// raw rows — for every loss with per-row costs, on degenerate data, at any
-// candidate cap and worker count — and reusing a candidate's row costs
-// across targets must not change how many pairs it reports testing.
+// wantCover derives the cover pass's output from the loss matrix alone, by
+// the online pass: visit the cells by descending population (index
+// ascending among ties) and test each against the representatives chosen
+// so far, in the order they were chosen and at most maxCand of them (0: all),
+// until one's loss is within theta; a cell none covers becomes a
+// representative. It returns the cover edges (each representative with the
+// cells assigned to it, ascending), the representatives in creation order
+// and the tests made.
+func wantCover(vertices []Vertex, m [][]float64, theta float64, maxCand int) ([][]int, []int, int64) {
+	n := len(vertices)
+	visit := make([]int, n)
+	for i := range visit {
+		visit[i] = i
+	}
+	sort.SliceStable(visit, func(a, b int) bool { return len(vertices[visit[a]].Rows) > len(vertices[visit[b]].Rows) })
+	out := make([][]int, n)
+	for v := range out {
+		out[v] = []int{v}
+	}
+	var reps []int
+	var tests int64
+	for _, u := range visit {
+		covered := false
+		for k, r := range reps {
+			if maxCand > 0 && k == maxCand {
+				break
+			}
+			tests++
+			if m[r][u] <= theta {
+				out[r] = append(out[r], u)
+				covered = true
+				break
+			}
+		}
+		if !covered {
+			reps = append(reps, u)
+		}
+	}
+	for v := range out {
+		sort.Ints(out[v])
+	}
+	return out, reps, tests
+}
+
+// checkCover requires g to be the cover wantCover derives from the loss
+// matrix, with every edge within theta by the definition, and Select on it
+// to keep exactly the cover's representatives as a verified dominating set.
+func checkCover(t *testing.T, label string, g *Graph, vertices []Vertex, m [][]float64, theta float64, maxCand int) {
+	t.Helper()
+	wantOut, wantReps, wantTests := wantCover(vertices, m, theta, maxCand)
+	if g.PairsTested != wantTests || g.CoverTests != wantTests {
+		t.Fatalf("%s: PairsTested = %d, CoverTests = %d, the online cover makes %d tests", label, g.PairsTested, g.CoverTests, wantTests)
+	}
+	if !reflect.DeepEqual(g.Out, wantOut) {
+		t.Fatalf("%s: Out = %v, the online cover over the loss definition gives %v", label, g.Out, wantOut)
+	}
+	for v, out := range g.Out {
+		for _, u := range out {
+			if u != v && !(m[v][u] <= theta) {
+				t.Fatalf("%s: edge %d→%d has loss %v > theta %v", label, v, u, m[v][u], theta)
+			}
+		}
+	}
+	sel := Select(g)
+	if err := Verify(g, sel); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	got := append([]int(nil), sel.Representatives...)
+	want := append([]int(nil), wantReps...)
+	sort.Ints(got)
+	sort.Ints(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Select keeps %v, the cover's representatives are %v", label, got, want)
+	}
+}
+
+// For losses with per-row costs Build runs the cover pass. It must give
+// exactly the online cover the loss definition yields on the raw rows — on
+// degenerate data, at any candidate cap — and the same edges and counters
+// at every worker count; reusing row costs within a block must not change
+// how many pairs it reports testing.
 func TestRowCostJoinMatchesLossDefinition(t *testing.T) {
 	losses := map[string]loss.Func{
 		"heatmap-euclidean": loss.NewHeatmap("p", geo.Euclidean),
@@ -167,7 +245,6 @@ func TestRowCostJoinMatchesLossDefinition(t *testing.T) {
 			for _, q := range []float64{0.1, 0.5, 0.9} {
 				theta := splitTheta(m, q)
 				for _, maxCand := range []int{0, 3} {
-					wantOut, wantPairs := wantGraph(vertices, m, theta, maxCand)
 					var first *Graph
 					for _, workers := range []int{1, 4} {
 						label := fmt.Sprintf("%s/%s theta=%g cap=%d workers=%d", shape, name, theta, maxCand, workers)
@@ -175,14 +252,7 @@ func TestRowCostJoinMatchesLossDefinition(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						if g.PairsTested != wantPairs {
-							t.Fatalf("%s: PairsTested = %d, want %d", label, g.PairsTested, wantPairs)
-						}
-						for v := range wantOut {
-							if !reflect.DeepEqual(g.Out[v], wantOut[v]) {
-								t.Fatalf("%s: Out[%d] = %v, loss definition gives %v", label, v, g.Out[v], wantOut[v])
-							}
-						}
+						checkCover(t, label, g, vertices, m, theta, maxCand)
 						if g.RowCosts <= 0 || g.RowCostsReused < 0 || g.RowCostsReused > g.RowCosts {
 							t.Fatalf("%s: RowCosts = %d, RowCostsReused = %d", label, g.RowCosts, g.RowCostsReused)
 						}
@@ -200,6 +270,34 @@ func TestRowCostJoinMatchesLossDefinition(t *testing.T) {
 				t.Fatalf("%s/%s: overlapping vertices never reused a row cost", shape, name)
 			}
 		}
+	}
+}
+
+// Counters and edges must not depend on how a representative's targets
+// are dealt to workers even when they span many blocks.
+func TestRowCostCoverBlocksWorkerIndependent(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	tbl, vertices := geoTable(r, "clustered", 600, 5*coverBlock/2)
+	f := loss.NewHeatmap("p", geo.Euclidean)
+	m := lossMatrix(tbl, vertices, f)
+	theta := splitTheta(m, 0.3)
+	var first *Graph
+	for _, workers := range []int{1, 2, 4} {
+		label := fmt.Sprintf("workers=%d", workers)
+		g, err := Build(context.Background(), tbl, vertices, f, theta, BuildOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCover(t, label, g, vertices, m, theta, 0)
+		if first == nil {
+			first = g
+		} else if g.RowCosts != first.RowCosts || g.RowCostsReused != first.RowCostsReused {
+			t.Fatalf("%s: cost counters %d/%d differ from workers=1's %d/%d", label,
+				g.RowCosts, g.RowCostsReused, first.RowCosts, first.RowCostsReused)
+		}
+	}
+	if first.PairsTested <= coverBlock {
+		t.Fatalf("%d cover tests never span a second block", first.PairsTested)
 	}
 }
 
@@ -222,14 +320,59 @@ func TestRowCostMemoCollisions(t *testing.T) {
 	}
 	f := loss.NewHeatmap("p", geo.Euclidean)
 	m := lossMatrix(tbl, vertices, f)
-	theta := splitTheta(m, 0.5)
-	wantOut, wantPairs := wantGraph(vertices, m, theta, 0)
-	g, err := Build(context.Background(), tbl, vertices, f, theta, BuildOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, q := range []float64{0.2, 0.5, 0.8} {
+		theta := splitTheta(m, q)
+		g, err := Build(context.Background(), tbl, vertices, f, theta, BuildOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCover(t, fmt.Sprintf("colliding rows, theta=%g", theta), g, vertices, m, theta, 0)
 	}
-	if g.PairsTested != wantPairs || !reflect.DeepEqual(g.Out, wantOut) {
-		t.Fatalf("graph with colliding rows = %v (%d pairs), loss definition gives %v (%d pairs)", g.Out, g.PairsTested, wantOut, wantPairs)
+}
+
+// cancellingLoss is a heatmap whose evaluators cancel a context after a
+// given number of row costs, to stop a cover pass in the middle.
+type cancellingLoss struct {
+	*loss.Heatmap
+	calls  *atomic.Int64
+	after  int64
+	cancel context.CancelFunc
+}
+
+func (l cancellingLoss) BindSample(tbl *dataset.Table, sam dataset.View) (loss.CellEvaluator, error) {
+	ev, err := l.Heatmap.BindSample(tbl, sam)
+	if err != nil {
+		return nil, err
+	}
+	return cancellingCoster{ev.(loss.RowCoster), l}, nil
+}
+
+type cancellingCoster struct {
+	loss.RowCoster
+	l cancellingLoss
+}
+
+func (c cancellingCoster) RowCost(row int32) float64 {
+	if c.l.calls.Add(1) == c.l.after {
+		c.l.cancel()
+	}
+	return c.RowCoster.RowCost(row)
+}
+
+// A context cancelled in the middle of the cover pass aborts it with
+// ctx.Err(), at any worker count.
+func TestRowCostCoverCancelled(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	tbl, vertices := geoTable(r, "uniform", 400, 3*coverBlock)
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		f := cancellingLoss{Heatmap: loss.NewHeatmap("p", geo.Euclidean), calls: new(atomic.Int64), after: 500, cancel: cancel}
+		g, err := Build(ctx, tbl, vertices, f, 1e-9, BuildOptions{Workers: workers})
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("workers=%d: Build = %v, %v after a cancel at row cost %d of %d, want context.Canceled",
+				workers, g, err, f.after, f.calls.Load())
+		}
 	}
 }
 
@@ -248,7 +391,7 @@ func joinBenchInput() (*dataset.Table, []Vertex) {
 	return tbl, vertices
 }
 
-// BenchmarkSamGraphJoinHeatmap runs the exhaustive heatmap join.
+// BenchmarkSamGraphJoinHeatmap runs the heatmap cover pass.
 func BenchmarkSamGraphJoinHeatmap(b *testing.B) {
 	tbl, vertices := joinBenchInput()
 	f := loss.NewHeatmap("p", geo.Euclidean)

@@ -1,7 +1,16 @@
 // Package samgraph implements Tabula's representative sample selection:
-// the sample representation graph (Definition 6) built with a
-// loss-predicate similarity join, and the greedy dominating-set heuristic
-// (Algorithm 3) for the NP-hard RepSamSel problem (Definition 7).
+// the sample representation graph (Definition 6) and the greedy
+// dominating-set heuristic (Algorithm 3) for the NP-hard RepSamSel
+// problem (Definition 7).
+//
+// How the graph is built depends on the loss. For losses whose pair test
+// is a fold of non-negative row costs (heatmap, histogram) Build runs a
+// cover pass: cells are visited largest first and each is tested only
+// against the representatives chosen before it, so the graph holds just
+// the cover edges — the non-exhaustive SamGraph the paper allows, on
+// which Select keeps exactly those representatives. Every other loss gets
+// the exhaustive loss-predicate similarity join. Either way every edge is
+// an exact loss ≤ θ test.
 package samgraph
 
 import (
@@ -38,10 +47,14 @@ type Graph struct {
 	// PairsTested counts representation tests performed during the join
 	// (the similarity-join cost the paper discusses).
 	PairsTested int64
-	// RowCosts counts the per-row costs the pair tests summed, for losses
-	// whose bound evaluators are loss.RowCosters (0 otherwise), and
-	// RowCostsReused how many of them a candidate had already computed for
-	// an earlier target sharing the row.
+	// CoverTests counts the tests among PairsTested that the cover pass
+	// ran, for losses whose bound evaluators are loss.RowCosters (0
+	// otherwise): it says which path built the graph.
+	CoverTests int64
+	// RowCosts counts the per-row costs the cover pass's pair tests summed
+	// (0 off that path), and RowCostsReused how many of them had already
+	// been computed for an earlier target of the same block sharing the
+	// row.
 	RowCosts       int64
 	RowCostsReused int64
 	// Summaries counts the target vertices folded once into a raw-table
@@ -66,21 +79,25 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
-// BuildOptions tunes the SamGraph similarity join.
+// BuildOptions tunes Build.
 type BuildOptions struct {
 	// MaxCandidates caps how many candidate samples are tested per
-	// vertex (0 = exhaustive). The paper notes the join "does not have
-	// to exhaust all possible representation relationships": a
+	// vertex (0 = no cap). The paper notes the join "does not have to
+	// exhaust all possible representation relationships": a
 	// non-exhaustive SamGraph may persist more samples than necessary
-	// but never violates the bounded-error guarantee. Candidates are
-	// tried largest-sample-first, since a richer sample is more likely
-	// to represent other cells.
+	// but never violates the bounded-error guarantee. The join tries
+	// candidates largest-sample-first, since a richer sample is more
+	// likely to represent other cells; the cover pass tests a vertex
+	// against at most this many representatives, in the order they were
+	// chosen.
 	MaxCandidates int
-	// Workers bounds the join's parallelism (0 = GOMAXPROCS). The
-	// resulting graph is identical for every worker count: each
-	// candidate vertex owns its adjacency list, and the MaxCandidates
-	// budget is resolved ahead of time from the fixed candidate order
-	// instead of racing on shared counters.
+	// Workers bounds the parallelism (0 = GOMAXPROCS). The resulting
+	// graph and its counters are identical for every worker count: in
+	// the join each candidate vertex owns its adjacency list, and the
+	// MaxCandidates budget is resolved ahead of time from the fixed
+	// candidate order instead of racing on shared counters; the cover
+	// pass deals one representative's targets out in fixed blocks, each
+	// with a memo of its own.
 	Workers int
 }
 
@@ -110,21 +127,22 @@ func buildOrder(vertices []Vertex) []int {
 	return order
 }
 
-// costMemo is one join worker's pair test for a loss.RowCoster: it folds
-// a target's rows into the mean row cost under the current candidate's
-// sample, remembering each cost so the next target holding the same raw
-// row gets it back instead of asking the evaluator again. Cells of
-// different cuboids overlap — a raw row sits in one cell of every
-// cuboid — so a candidate meets most rows several times.
+// costMemo is one cover worker's pair test for a loss.RowCoster: it folds
+// a target's rows into the mean row cost under the current
+// representative's sample, remembering each cost so the next target of
+// the same block holding the same raw row gets it back instead of asking
+// the evaluator again. Cells of different cuboids overlap — a raw row
+// sits in one cell of every cuboid — so a representative meets most rows
+// several times.
 //
-// The memo is a direct-mapped table of fixed size keyed by (candidate,
-// row): binding the next candidate changes the tag and thereby empties
-// it, a slot collision just recomputes, and memory stays bounded whatever
-// the table size. A remembered cost is the evaluator's own float64, so
-// sums are bit-identical with or without it.
+// The memo is a direct-mapped table of fixed size keyed by (block, row):
+// binding the next block changes the tag and thereby empties it, a slot
+// collision just recomputes, and memory stays bounded whatever the table
+// size. A remembered cost is the evaluator's own float64, so sums are
+// bit-identical with or without it.
 type costMemo struct {
 	rc    loss.RowCoster
-	tag   uint64 // (candidate rank + 1) << 32: never matches a zero slot
+	tag   uint64 // (block + 1) << 32: never matches a zero slot
 	slots []memoSlot
 	// Lookups and evaluator calls since creation.
 	costs, computed int64
@@ -136,16 +154,17 @@ type memoSlot struct {
 }
 
 // memoSlots is the memo size (a power of two, 1 MiB of slots): far above
-// the few thousand distinct rows a candidate touches before its pairs are
+// the few thousand distinct rows a block touches before its pairs are
 // rejected, small enough to stay cache-resident.
 const memoSlots = 1 << 16
 
 func newCostMemo() *costMemo { return &costMemo{slots: make([]memoSlot, memoSlots)} }
 
-// bind points the memo at the evaluator of the candidate with the given
-// rank, forgetting the previous candidate's costs.
-func (m *costMemo) bind(rc loss.RowCoster, rank int64) {
-	m.rc, m.tag = rc, uint64(rank+1)<<32
+// bind points the memo at a representative's evaluator for the block with
+// the given number, unique within one Build, forgetting every earlier
+// block's costs.
+func (m *costMemo) bind(rc loss.RowCoster, block int64) {
+	m.rc, m.tag = rc, uint64(block+1)<<32
 }
 
 // exceeds reports whether the mean cost of rows is above theta. Costs are
@@ -240,12 +259,10 @@ type join struct {
 	keyed, unkeyed []int32
 }
 
-// joinWorker is one goroutine's pair counts, its row-cost memo (created
-// for the first loss.RowCoster candidate) and its edge bitset (for the
-// first loss.KeyRanger candidate; all zero between candidates).
+// joinWorker is one goroutine's pair counts and its edge bitset (created
+// for the first loss.KeyRanger candidate; all zero between candidates).
 type joinWorker struct {
 	pairs, pruned int64
-	memo          *costMemo
 	marks         []uint64
 }
 
@@ -300,13 +317,6 @@ func (j *join) candidate(ctx context.Context, wk *joinWorker, rank int) error {
 	if kr, ok := ev.(loss.KeyRanger); ok && j.keys != nil {
 		return j.ranged(ctx, wk, rank, kr)
 	}
-	rc, byCosts := ev.(loss.RowCoster)
-	if byCosts {
-		if wk.memo == nil {
-			wk.memo = newCostMemo()
-		}
-		wk.memo.bind(rc, int64(rank))
-	}
 	var pairs int64 // added to wk once: the workers' tallies share cache lines
 	out := j.out[v][:0]
 	for u := range j.vertices {
@@ -328,8 +338,6 @@ func (j *join) candidate(ctx context.Context, wk *joinWorker, rank int) error {
 		switch {
 		case j.sum != nil:
 			exceeds = !(ev.Loss(j.states[u]) <= j.theta)
-		case byCosts:
-			exceeds = wk.memo.exceeds(rows, j.theta)
 		case j.dr != nil:
 			exceeds = lossExceeds(ev, rows, j.theta)
 		default:
@@ -400,34 +408,35 @@ func (j *join) ranged(ctx context.Context, wk *joinWorker, rank int, kr loss.Key
 	return nil
 }
 
-// Build constructs the SamGraph over the given vertices: a similarity
-// self-join of the cube table with the predicate
-// loss(t1.cellrawdata, t2.sample) ≤ theta (a NaN loss satisfies no
+// Build constructs the SamGraph over the given vertices. An edge v→u is a
+// passed test loss(u.Rows, v.SampleRows) ≤ theta (a NaN loss satisfies no
 // threshold, so it is never an edge). What the loss's bound evaluator
-// offers, probed once, picks the pair test:
+// offers, probed once, picks the path and its pair test:
 //
+//   - loss.RowCoster: the loss is a mean of non-negative row costs, so a
+//     pair is rejected as soon as a partial sum passes theta·|rows|. These
+//     losses take the cover pass (cover), not the join: each cell is
+//     tested only against the representatives chosen before it, and the
+//     graph holds only cover edges;
 //   - loss.RawSummarizer: cell states never read the sample, so every
 //     target is folded once, in row order, and a pair is one Loss call on
 //     the candidate's rebound evaluator; if it is also a loss.KeyRanger,
 //     the targets are sorted by key once and a candidate scores only those
 //     in its key range (and those without a finite key) — the others can
 //     be no edge;
-//   - loss.RowCoster: the loss is a mean of non-negative row costs, so a
-//     pair is rejected as soon as a partial sum passes theta·|rows|, and
-//     each worker remembers the current candidate's row costs across
-//     targets (costMemo);
 //   - any other loss.DryRunner: each candidate is bound once and every
 //     tested cell folded through it; without one, direct Loss calls.
 //
-// Each computes the very floats of the per-pair fold, so the edges are the
+// Each computes the very floats of the per-pair fold, so every edge is the
 // loss definition's on every path.
 //
-// The candidate loop is sharded across opts.Workers goroutines. Candidate
-// vertices are independent — each binds its own evaluator and writes only
-// its own adjacency list — so the output graph (edges and pair counts
-// alike) is byte-identical to a sequential join at any worker count
-// (pinned by TestParallelBuildMatchesSequential). ctx cancellation aborts
-// the join with ctx.Err().
+// The work is sharded across opts.Workers goroutines: the join's
+// candidates, which each bind their own evaluator and write only their own
+// adjacency list, or one cover representative's targets. The output graph
+// (edges and counters alike) is byte-identical at any worker count
+// (pinned by TestParallelBuildMatchesSequential and
+// TestRowCostCoverBlocksWorkerIndependent). ctx cancellation aborts the
+// build with ctx.Err().
 func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Func, theta float64, opts BuildOptions) (*Graph, error) {
 	defer obs.StartStage(ctx, "samgraph_join")()
 	n := len(vertices)
@@ -455,6 +464,7 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 		workers = n
 	}
 
+	var costed bool
 	if dr, ok := f.(loss.DryRunner); ok {
 		j.dr = dr
 		first := j.order[0]
@@ -462,6 +472,7 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 		if err != nil {
 			return nil, fmt.Errorf("samgraph: binding candidate %d: %w", first, err)
 		}
+		_, costed = probe.(loss.RowCoster)
 		if sum, ok := probe.(loss.RawSummarizer); ok {
 			done := obs.StartStage(ctx, "samgraph_summaries")
 			j.sum, j.states = sum, make([]loss.CellState, n)
@@ -497,29 +508,142 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 		}
 	}
 
-	wks := make([]joinWorker, workers)
-	err := forEach(ctx, workers, n, func(w, rank int) error { return j.candidate(ctx, &wks[w], rank) })
-	if err != nil {
-		return nil, err
-	}
-	var rowComputed int64
-	for _, wk := range wks {
-		g.PairsTested += wk.pairs
-		g.PairsPruned += wk.pruned
-		if wk.memo != nil {
-			g.RowCosts += wk.memo.costs
-			rowComputed += wk.memo.computed
+	if costed {
+		if err := j.cover(ctx, g, workers); err != nil {
+			return nil, err
+		}
+	} else {
+		wks := make([]joinWorker, workers)
+		err := forEach(ctx, workers, n, func(w, rank int) error { return j.candidate(ctx, &wks[w], rank) })
+		if err != nil {
+			return nil, err
+		}
+		for _, wk := range wks {
+			g.PairsTested += wk.pairs
+			g.PairsPruned += wk.pruned
 		}
 	}
-	g.RowCostsReused = g.RowCosts - rowComputed
 	st := obs.StagesFrom(ctx)
 	st.Count("tabula_samgraph_pairs_total", "SamGraph join representation tests performed.", g.PairsTested)
+	st.Count("tabula_samgraph_cover_tests_total", "SamGraph representation tests run by the cover pass, which tests each cell only against the representatives chosen before it.", g.CoverTests)
 	st.Count("tabula_samgraph_summaries_total", "Target cells the SamGraph join folded once into a raw summary that every candidate's pair test scored.", g.Summaries)
 	st.Count("tabula_samgraph_pairs_pruned_total", "SamGraph join representation tests decided by the target's key alone, outside the candidate's key range.", g.PairsPruned)
-	const costsHelp = "Row costs summed by SamGraph pair tests: computed by the loss evaluator, or reused from an earlier target of the same candidate."
+	const costsHelp = "Row costs summed by SamGraph pair tests: computed by the loss evaluator, or reused from an earlier target of the same block."
 	st.Count("tabula_samgraph_row_costs_total", costsHelp, g.RowCosts-g.RowCostsReused, obs.Label{Name: "outcome", Value: "computed"})
 	st.Count("tabula_samgraph_row_costs_total", costsHelp, g.RowCostsReused, obs.Label{Name: "outcome", Value: "reused"})
 	return g, nil
+}
+
+// coverBlock is how many of one representative's targets the cover pass
+// deals to a worker at a time. Each block starts with an empty memo, so
+// which worker takes it changes no counter.
+const coverBlock = 64
+
+// cover is Build's path for a loss.RowCoster. Vertices are visited by
+// descending population, index ascending among ties; one that no earlier
+// representative covers becomes a representative, and Graph.Out[v] lists
+// v and the vertices assigned to it. That is the online pass — test each
+// cell against the representatives so far, in the order they were chosen
+// — run rep-major: a representative binds its evaluator once and tests
+// every later vertex still uncovered. A vertex left uncovered by all
+// earlier representatives has failed each of them, so the representative
+// that covers it now is its first covering one, exactly as online.
+// MaxCandidates > 0 stops testing a vertex after that many
+// representatives. Select on the result keeps exactly the
+// representatives: their cover sets are disjoint and every other vertex
+// has only its self-edge.
+func (j *join) cover(ctx context.Context, g *Graph, workers int) error {
+	n := len(j.vertices)
+	visit := make([]int, n)
+	for i := range visit {
+		visit[i] = i
+	}
+	sort.Slice(visit, func(a, b int) bool {
+		na, nb := len(j.vertices[visit[a]].Rows), len(j.vertices[visit[b]].Rows)
+		if na != nb {
+			return na > nb
+		}
+		return visit[a] < visit[b]
+	})
+	covered := make([]bool, n)
+	var tested []int // representatives each vertex was tested against, under a cap
+	if j.maxCand > 0 {
+		tested = make([]int, n)
+	}
+	memos := make([]*costMemo, workers)
+	var (
+		targets []int32
+		passed  []bool
+		blocks  int64 // blocks bound so far: the next memo tag
+	)
+	for i, v := range visit {
+		if covered[v] {
+			continue
+		}
+		covered[v] = true
+		targets = targets[:0]
+		for _, u := range visit[i+1:] {
+			if !covered[u] && (tested == nil || tested[u] < j.maxCand) {
+				targets = append(targets, int32(u))
+			}
+		}
+		if len(targets) == 0 {
+			continue
+		}
+		ev, err := j.dr.BindSample(j.tbl, dataset.NewView(j.tbl, j.vertices[v].SampleRows))
+		if err != nil {
+			return fmt.Errorf("samgraph: binding representative %d: %w", v, err)
+		}
+		rc, ok := ev.(loss.RowCoster)
+		if !ok {
+			return fmt.Errorf("samgraph: representative %d's evaluator has no row costs", v)
+		}
+		if cap(passed) < len(targets) {
+			passed = make([]bool, len(targets))
+		}
+		passed = passed[:len(targets)]
+		nb := (len(targets) + coverBlock - 1) / coverBlock
+		err = forEach(ctx, min(workers, nb), nb, func(w, b int) error {
+			m := memos[w]
+			if m == nil {
+				m = newCostMemo()
+				memos[w] = m
+			}
+			m.bind(rc, blocks+int64(b))
+			for k := b * coverBlock; k < min((b+1)*coverBlock, len(targets)); k++ {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				passed[k] = !m.exceeds(j.vertices[targets[k]].Rows, j.theta)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		blocks += int64(nb)
+		g.PairsTested += int64(len(targets))
+		for k, u := range targets {
+			switch {
+			case passed[k]:
+				covered[u] = true
+				g.Out[v] = append(g.Out[v], int(u))
+			case tested != nil:
+				tested[u]++
+			}
+		}
+		sort.Ints(g.Out[v])
+	}
+	g.CoverTests = g.PairsTested
+	var computed int64
+	for _, m := range memos {
+		if m != nil {
+			g.RowCosts += m.costs
+			computed += m.computed
+		}
+	}
+	g.RowCostsReused = g.RowCosts - computed
+	return nil
 }
 
 // sortKeys fills keyed, keys and unkeyed from every target's key.

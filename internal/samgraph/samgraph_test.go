@@ -3,6 +3,7 @@ package samgraph
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -119,20 +120,23 @@ func TestBuildGraphHeatmapLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cells 0,2,4 overlap; 1,3 overlap: expect cross-edges inside groups.
-	hasEdge := func(v, u int) bool {
-		for _, x := range g.Out[v] {
-			if x == u {
-				return true
-			}
-		}
-		return false
+	// Cells 0, 2, 4 share one cluster and 1, 3 the other. The cover pass
+	// visits the equal-sized cells in index order: 0 covers 2 and 4 but not
+	// 1, which then covers 3 — one representative per cluster, after
+	// 4 + 1 tests. The other cells keep their self-edges alone.
+	want := [][]int{{0, 2, 4}, {1, 3}, {2}, {3}, {4}}
+	if !reflect.DeepEqual(g.Out, want) {
+		t.Fatalf("Out = %v, want %v", g.Out, want)
 	}
-	if !hasEdge(0, 2) || !hasEdge(2, 4) {
-		t.Fatal("expected same-cluster representation edges")
+	if g.PairsTested != 5 || g.CoverTests != 5 {
+		t.Fatalf("PairsTested = %d, CoverTests = %d, want 5", g.PairsTested, g.CoverTests)
 	}
-	if hasEdge(0, 1) {
-		t.Fatal("cross-cluster edge should not exist")
+	res := Select(g)
+	if err := Verify(g, res); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Representatives, []int{0, 1}) {
+		t.Fatalf("representatives = %v, want [0 1]", res.Representatives)
 	}
 }
 

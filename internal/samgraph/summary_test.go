@@ -221,7 +221,8 @@ func (e nanCoster) RowCost(row int32) float64 { return e.vals[row] + e.sam }
 
 // A NaN loss — a NaN in a target's rows or in a candidate's sample, or a
 // DSL body that comes to 0/0 — bounds nothing, so it is never an edge, on
-// any of the join's four pair tests. Only the self-edges remain.
+// any of the join's three pair tests or in the cover pass. Only the
+// self-edges remain.
 func TestNaNLossIsNeverAnEdge(t *testing.T) {
 	tbl := dataset.NewTable(dataset.Schema{{Name: "v", Type: dataset.Float64}})
 	var vertices []Vertex
@@ -246,7 +247,6 @@ func TestNaNLossIsNeverAnEdge(t *testing.T) {
 		"Func.Loss (mean)": opaque{loss.NewMean("v")},
 		"Func.Loss":        nanLoss{},
 		"fold":             nanBound{},
-		"row costs":        nanCosted{},
 	}
 	for name, f := range losses {
 		for _, workers := range []int{1, 3} {
@@ -269,6 +269,33 @@ func TestNaNLossIsNeverAnEdge(t *testing.T) {
 			if err := Verify(g, Select(g)); err != nil {
 				t.Errorf("%s: %v", name, err)
 			}
+		}
+	}
+
+	// The cover pass tests a cell only against earlier representatives, so
+	// each NaN must meet one: two healthy rows make nanSam the first cell
+	// visited, whose sample then covers nothing; or cell 0 the first, whose
+	// sample covers every cell but nanCell.
+	for _, tc := range []struct {
+		first int
+		want  [][]int
+	}{
+		{nanSam, [][]int{{0}, {1}, {0, 1, 2, 3, 5}, {3}, {4}, {5}}},
+		{0, [][]int{{0, 1, 3, 4, 5}, {1}, {2}, {3}, {4}, {5}}},
+	} {
+		cv := append([]Vertex(nil), vertices...)
+		cv[tc.first].Rows = append(append([]int32(nil), cv[tc.first].Rows...), vertices[5].Rows[:2]...)
+		m := lossMatrix(tbl, cv, nanCosted{})
+		for _, workers := range []int{1, 3} {
+			label := fmt.Sprintf("row costs, cell %d first, workers=%d", tc.first, workers)
+			g, err := Build(context.Background(), tbl, cv, nanCosted{}, 100, BuildOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !reflect.DeepEqual(g.Out, tc.want) {
+				t.Errorf("%s: Out = %v, want %v (cell %d holds a NaN, sample %d holds a NaN)", label, g.Out, tc.want, nanCell, nanSam)
+			}
+			checkCover(t, label, g, cv, m, 100, 0)
 		}
 	}
 

@@ -71,6 +71,7 @@ for family in \
 	tabula_respcache_hits_total \
 	tabula_build_stage_seconds \
 	tabula_samgraph_pairs_total \
+	tabula_samgraph_cover_tests_total \
 	tabula_samgraph_summaries_total \
 	tabula_samgraph_pairs_pruned_total \
 	tabula_cube_version; do
