@@ -41,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRange$$' -fuzztime $(FUZZTIME) ./internal/loss
 	$(GO) test -run '^$$' -fuzz '^FuzzDryRunChunked$$' -fuzztime $(FUZZTIME) ./internal/cube
 	$(GO) test -run '^$$' -fuzz '^FuzzNearestDistance$$' -fuzztime $(FUZZTIME) ./internal/geo
+	$(GO) test -run '^$$' -fuzz '^FuzzCoverSpeculative$$' -fuzztime $(FUZZTIME) ./internal/samgraph
 	$(GO) test -run '^$$' -fuzz '^FuzzCRC32Combine$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQueryBody$$' -fuzztime $(FUZZTIME) ./internal/server
 

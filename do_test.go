@@ -221,6 +221,14 @@ func TestExecBuildStageMetrics(t *testing.T) {
 	if v, ok := reg.Value("tabula_samgraph_cover_tests_total"); !ok || v != 0 {
 		t.Errorf("tabula_samgraph_cover_tests_total = %v (ok=%v) after a mean-loss build, want 0", v, ok)
 	}
+	// The real run sampled every iceberg cell of the mean-loss cube, and
+	// kept every sample as a candidate.
+	if v, _ := reg.Value("tabula_sampling_greedy_runs_total", MetricLabel{Name: "outcome", Value: "kept"}); v != iceberg {
+		t.Errorf("tabula_sampling_greedy_runs_total{kept} = %v after a mean-loss build with %v iceberg cells", v, iceberg)
+	}
+	if v, ok := reg.Value("tabula_sampling_greedy_runs_total", MetricLabel{Name: "outcome", Value: "discarded"}); !ok || v != 0 {
+		t.Errorf("tabula_sampling_greedy_runs_total{discarded} = %v (ok=%v) after a mean-loss build, want 0", v, ok)
+	}
 	if _, err := db.Exec(context.Background(), `
 		CREATE TABLE heat_cube AS
 		SELECT payment_type, vendor_name, SAMPLING(*, 0.001) AS sample
@@ -248,6 +256,16 @@ func TestExecBuildStageMetrics(t *testing.T) {
 	// the cover pass's.
 	if v, _ := reg.Value("tabula_samgraph_cover_tests_total"); v != heatPairs-pairs {
 		t.Errorf("heatmap build ran %v cover tests of its %v pair tests, want all", v, heatPairs-pairs)
+	}
+	// The heatmap build sampled on demand: a kept run for each persisted
+	// sample, and at most one run per iceberg cell.
+	heat, _ := db.CubeByName("heat_cube")
+	hs := heat.Stats()
+	kept, _ := reg.Value("tabula_sampling_greedy_runs_total", MetricLabel{Name: "outcome", Value: "kept"})
+	discarded, _ := reg.Value("tabula_sampling_greedy_runs_total", MetricLabel{Name: "outcome", Value: "discarded"})
+	if kept-iceberg != float64(hs.NumPersistedSamples) || kept-iceberg+discarded > float64(hs.NumIcebergCells) {
+		t.Errorf("heatmap build: %v greedy runs kept and %v discarded for %d samples over %d iceberg cells",
+			kept-iceberg, discarded, hs.NumPersistedSamples, hs.NumIcebergCells)
 	}
 	// The cube registered by Exec exports its snapshot gauges too.
 	if v, ok := reg.Value("tabula_cube_version", MetricLabel{Name: "cube", Value: "ride_cube"}); !ok || v != 1 {

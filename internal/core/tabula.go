@@ -122,7 +122,12 @@ func DefaultParams(f loss.Func, theta float64, cubedAttrs ...string) Params {
 // experiment section measures (initialization-time breakdown, memory
 // footprint breakdown, cell inventories).
 type Stats struct {
-	// Timing breakdown (Figures 8 and 10a).
+	// Timing breakdown (Figures 8 and 10a). RealRunTime covers fetching
+	// the iceberg cells' raw rows and, unless selection samples on demand
+	// (a loss with per-row costs, with SampleSelection on), drawing every
+	// cell's local sample. SelectionTime covers selection — on demand,
+	// including the greedy sampling of the cells it keeps — and the
+	// materialization of the persisted samples.
 	GlobalSampleTime time.Duration
 	DryRunTime       time.Duration
 	RealRunTime      time.Duration
@@ -159,6 +164,14 @@ type Stats struct {
 	// decided by the target's key alone, outside the candidate's key range
 	// (0 for losses whose evaluators offer no key range).
 	SamGraphPairsPruned int64
+	// GreedyRunsKept is how many greedy sampler (Algorithm 1) runs made a
+	// sample the build kept: every iceberg cell's when the real run
+	// samples them all, the representatives' when selection samples on
+	// demand (losses with per-row costs). GreedyRunsDiscarded is how many
+	// speculative runs the on-demand path threw away because the cell
+	// turned out covered; it depends on scheduling, never on the cube.
+	GreedyRunsKept      int64
+	GreedyRunsDiscarded int64
 
 	// Memory footprint breakdown in bytes (Figures 9 and 10b): the three
 	// physical components of Tabula.
@@ -373,6 +386,13 @@ func newEpoch() uint64 { return randv2.Uint64() }
 // sample, runs the dry-run and real-run stages, optionally runs
 // representative sample selection, and materializes the cube.
 //
+// For a loss whose bound evaluators are loss.RowCosters (heatmap,
+// histogram), with SampleSelection on, the real run only fetches the
+// cells and selection draws each local sample on demand: the greedy
+// sampler runs for the cells the cover pass keeps as representatives (and
+// speculatively for a few it may yet keep), not for every iceberg cell.
+// The cube is byte-identical to sampling every cell first.
+//
 // Every stage honors ctx: the dry-run scan and lattice derivation, the
 // real-run samplers, and the SamGraph similarity join all poll it
 // periodically, so cancelling ctx (e.g. an HTTP client disconnecting
@@ -477,16 +497,30 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 	sn.stats.NumCells = dry.TotalCells()
 	sn.stats.NumIcebergCells = dry.TotalIcebergCells()
 
-	// Stage 2: real run — materialize local samples for iceberg cells.
+	// Stage 2: real run — fetch the iceberg cells' raw rows and draw their
+	// local samples, or leave the sampling to selection (fused).
 	realStart := time.Now()
-	real, err := cube.RealRun(ctx, tbl, enc, codec, dry, p.Loss, p.Theta, cube.RealRunOptions{
+	realOpts := cube.RealRunOptions{
 		Greedy:      p.Greedy,
 		Cost:        p.Cost,
 		Workers:     p.Workers,
 		KeepRawRows: p.SampleSelection,
-	})
+	}
+	_, costed := ev.(loss.RowCoster)
+	fused := p.SampleSelection && costed && !sampleEveryCell
+	var real *cube.RealRunResult
+	if fused {
+		doneReal := obs.StartStage(ctx, "real_run")
+		real, err = cube.FetchCells(ctx, tbl, enc, codec, dry, realOpts)
+		doneReal()
+	} else {
+		real, err = cube.RealRun(ctx, tbl, enc, codec, dry, p.Loss, p.Theta, realOpts)
+	}
 	if err != nil {
 		return nil, err
+	}
+	if !fused {
+		sn.stats.GreedyRunsKept = int64(len(real.Cells))
 	}
 	sn.stats.RealRunTime = time.Since(realStart)
 
@@ -511,7 +545,16 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 		if opts.Workers == 0 {
 			opts.Workers = p.Workers
 		}
-		graph, err := samgraph.Build(ctx, tbl, vertices, p.Loss, p.Theta, opts)
+		var graph *samgraph.Graph
+		var runs atomic.Int64
+		if fused {
+			graph, err = samgraph.Cover(ctx, tbl, vertices, p.Loss, p.Theta, opts, func(v int) ([]int32, error) {
+				runs.Add(1)
+				return cube.SampleCell(tbl, real.Cells[v], p.Loss, p.Theta, p.Greedy)
+			})
+		} else {
+			graph, err = samgraph.Build(ctx, tbl, vertices, p.Loss, p.Theta, opts)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -521,6 +564,15 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 			return nil, fmt.Errorf("core: sample selection self-check failed: %w", err)
 		}
 		doneSelect()
+		if fused {
+			// Cover left the kept samples, the representatives', in
+			// vertices; they are the ones materialized below.
+			for _, v := range sel.Representatives {
+				real.Cells[v].SampleRows = vertices[v].SampleRows
+			}
+			sn.stats.GreedyRunsKept = int64(len(sel.Representatives))
+			sn.stats.GreedyRunsDiscarded = runs.Load() - sn.stats.GreedyRunsKept
+		}
 		sn.stats.SamGraphEdges = graph.NumEdges()
 		sn.stats.SamGraphPairsTested = graph.PairsTested
 		sn.stats.SamGraphCoverTests = graph.CoverTests
@@ -529,6 +581,10 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 		sn.stats.SamGraphSummaries = graph.Summaries
 		sn.stats.SamGraphPairsPruned = graph.PairsPruned
 	}
+	const runsHelp = "Greedy sampler (Algorithm 1) runs during cube builds: kept as a cell's persisted or candidate sample, or discarded because the cover pass found the cell covered meanwhile."
+	st := obs.StagesFrom(ctx)
+	st.Count("tabula_sampling_greedy_runs_total", runsHelp, sn.stats.GreedyRunsKept, obs.Label{Name: "outcome", Value: "kept"})
+	st.Count("tabula_sampling_greedy_runs_total", runsHelp, sn.stats.GreedyRunsDiscarded, obs.Label{Name: "outcome", Value: "discarded"})
 	// The rest of the stage — copying the persisted samples, assigning
 	// cells, partitioning shards — is the tracer's "materialize".
 	doneMaterialize := obs.StartStage(ctx, "materialize")
@@ -610,6 +666,10 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 	t.snap.Store(sn)
 	return t, nil
 }
+
+// sampleEveryCell makes Build sample every iceberg cell in the real run
+// whatever the loss: the pipeline the fused path must equal, for tests.
+var sampleEveryCell = false
 
 // cubeTableEntryBytes approximates one cube-table entry: an 8-byte key, a
 // 4-byte sample id, and hash-map overhead.

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/tabula-db/tabula/internal/dataset"
 	"github.com/tabula-db/tabula/internal/engine"
@@ -109,27 +110,47 @@ type RealRunResult struct {
 // RealRun executes Algorithm 2: for every iceberg cuboid it fetches the
 // raw data of the cuboid's iceberg cells (choosing the access path with
 // the cost model), then draws a loss-bounded local sample per iceberg
-// cell with the greedy sampler. ctx is polled between cuboids and
-// between cells, so cancellation aborts the stage with ctx.Err().
+// cell with the greedy sampler. It is FetchCells followed by sampleCells.
+// ctx is polled between cuboids and between cells, so cancellation aborts
+// the stage with ctx.Err().
 func RealRun(ctx context.Context, tbl *dataset.Table, enc *engine.CatEncoding, codec *engine.KeyCodec, dry *DryRunResult, f loss.Func, theta float64, opts RealRunOptions) (*RealRunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	defer obs.StartStage(ctx, "real_run")()
-	res := &RealRunResult{PathChosen: make(map[int]PathChoice)}
-	lat := dry.Lattice
+	res, err := FetchCells(ctx, tbl, enc, codec, dry, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := sampleCells(ctx, tbl, res.Cells, f, theta, opts); err != nil {
+		return nil, err
+	}
+	if !opts.KeepRawRows {
+		//lint:ignore ctxpoll bounded pointer-clearing pass (one store per cell), cheaper than the poll itself
+		for _, c := range res.Cells {
+			c.Rows = nil
+		}
+	}
+	return res, nil
+}
+
+// FetchCells is Algorithm 2's group-by: it fetches the raw rows of every
+// iceberg cell, choosing each cuboid's access path with opts.Cost, and
+// returns the cells without samples (SampleRows nil) in the deterministic
+// order RealRun returns them: by mask descending (top-down), then key
+// ascending. The cuboids are spread over opts.Workers goroutines (0 =
+// GOMAXPROCS); each groups the table on its own, so the cells do not
+// depend on the worker count. ctx is polled between cuboids.
+func FetchCells(ctx context.Context, tbl *dataset.Table, enc *engine.CatEncoding, codec *engine.KeyCodec, dry *DryRunResult, opts RealRunOptions) (*RealRunResult, error) {
+	masks := dry.IcebergCuboids()
+	paths := make([]PathChoice, len(masks))
+	cells := make([][]*IcebergCell, len(masks))
 	view := dataset.FullView(tbl)
 	n := int64(tbl.NumRows())
-	for _, mask := range dry.IcebergCuboids() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	err := forEachIndex(ctx, opts.Workers, len(masks), func(ci int) error {
+		mask := masks[ci]
 		stats := &dry.Cuboids[mask]
-		attrs := lat.Attrs(mask)
-		keySet := make(map[uint64]struct{}, len(stats.IcebergKeys))
-		for _, k := range stats.IcebergKeys {
-			keySet[k] = struct{}{}
-		}
+		attrs := dry.Lattice.Attrs(mask)
 		var path PathChoice
 		switch opts.Cost {
 		case CostForceGroupAll:
@@ -143,100 +164,37 @@ func RealRun(ctx context.Context, tbl *dataset.Table, enc *engine.CatEncoding, c
 				path = PathGroupAll
 			}
 		}
-		res.PathChosen[mask] = path
+		paths[ci] = path
 
 		var cellRows map[uint64][]int32
 		if path == PathJoinFirst {
+			keySet := make(map[uint64]struct{}, len(stats.IcebergKeys))
+			for _, k := range stats.IcebergKeys {
+				keySet[k] = struct{}{}
+			}
 			matched := engine.SemiJoinRows(enc, codec, attrs, view, keySet)
 			cellRows = engine.GroupRows(enc, codec, attrs, dataset.NewView(tbl, matched))
 		} else {
-			grouped := engine.GroupRows(enc, codec, attrs, view)
-			cellRows = make(map[uint64][]int32, len(keySet))
-			for k := range keySet {
-				if rows, ok := grouped[k]; ok {
-					cellRows[k] = rows
-				}
-			}
+			cellRows = engine.GroupRows(enc, codec, attrs, view)
 		}
-		for _, key := range stats.IcebergKeys {
+		out := make([]*IcebergCell, len(stats.IcebergKeys))
+		for i, key := range stats.IcebergKeys {
 			rows, ok := cellRows[key]
 			if !ok {
-				return nil, fmt.Errorf("cube: iceberg cell %d of cuboid %b has no raw rows", key, mask)
+				return fmt.Errorf("cube: iceberg cell %d of cuboid %b has no raw rows", key, mask)
 			}
-			cell := &IcebergCell{Key: key, Mask: mask, Rows: rows, SampleID: -1}
-			res.Cells = append(res.Cells, cell)
+			out[i] = &IcebergCell{Key: key, Mask: mask, Rows: rows, SampleID: -1}
 		}
-	}
-
-	// Draw local samples in parallel across cells, largest first (longest
-	// processing time first): a cell's sample depends on its own rows
-	// alone, so the order changes no sample, but a big cell dealt last
-	// would leave the other workers idle while it runs.
-	feed := make([]int, len(res.Cells))
-	for i := range feed {
-		feed[i] = i
-	}
-	sort.Slice(feed, func(a, b int) bool {
-		na, nb := len(res.Cells[feed[a]].Rows), len(res.Cells[feed[b]].Rows)
-		if na != nb {
-			return na > nb
-		}
-		return feed[a] < feed[b]
+		cells[ci] = out
+		return nil
 	})
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if err != nil {
+		return nil, err
 	}
-	if workers > len(res.Cells) {
-		workers = len(res.Cells)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	next := make(chan int)
-	go func() {
-		// The feeder blocks on the channel; workers poll ctx and drain it
-		// on cancellation, so the feeder always exits.
-		for _, i := range feed {
-			next <- i
-		}
-		close(next)
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range next {
-				if errs[w] != nil {
-					continue // drain the channel so the feeder goroutine exits
-				}
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					continue
-				}
-				cell := res.Cells[i]
-				sample, err := sampling.Greedy(f, dataset.NewView(tbl, cell.Rows), theta, opts.Greedy)
-				if err != nil {
-					errs[w] = fmt.Errorf("cube: sampling cell %d of cuboid %b: %w", cell.Key, cell.Mask, err)
-					continue
-				}
-				cell.SampleRows = sample
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !opts.KeepRawRows {
-		//lint:ignore ctxpoll bounded pointer-clearing pass (one store per cell), cheaper than the poll itself
-		for _, c := range res.Cells {
-			c.Rows = nil
-		}
+	res := &RealRunResult{PathChosen: make(map[int]PathChoice, len(masks))}
+	for ci, mask := range masks {
+		res.PathChosen[mask] = paths[ci]
+		res.Cells = append(res.Cells, cells[ci]...)
 	}
 	// Deterministic cell order: by mask (top-down), then key.
 	sort.Slice(res.Cells, func(i, j int) bool {
@@ -246,4 +204,86 @@ func RealRun(ctx context.Context, tbl *dataset.Table, enc *engine.CatEncoding, c
 		return res.Cells[i].Key < res.Cells[j].Key
 	})
 	return res, nil
+}
+
+// sampleCells draws every cell's local sample with SampleCell, in parallel
+// on opts.Workers goroutines (0 = GOMAXPROCS). ctx is polled between
+// cells; on cancellation or the first failure the stage stops and that
+// error is returned.
+func sampleCells(ctx context.Context, tbl *dataset.Table, cells []*IcebergCell, f loss.Func, theta float64, opts RealRunOptions) error {
+	// Draw local samples largest first (longest processing time first): a
+	// cell's sample depends on its own rows alone, so the order changes no
+	// sample, but a big cell dealt last would leave the other workers idle
+	// while it runs.
+	feed := make([]int, len(cells))
+	for i := range feed {
+		feed[i] = i
+	}
+	sort.Slice(feed, func(a, b int) bool {
+		na, nb := len(cells[feed[a]].Rows), len(cells[feed[b]].Rows)
+		if na != nb {
+			return na > nb
+		}
+		return feed[a] < feed[b]
+	})
+	return forEachIndex(ctx, opts.Workers, len(feed), func(i int) error {
+		cell := cells[feed[i]]
+		sample, err := SampleCell(tbl, cell, f, theta, opts.Greedy)
+		if err != nil {
+			return err
+		}
+		cell.SampleRows = sample
+		return nil
+	})
+}
+
+// SampleCell runs the greedy sampler (Algorithm 1) on the cell's raw rows
+// and returns its local sample as table row ids; an error names the cell.
+func SampleCell(tbl *dataset.Table, cell *IcebergCell, f loss.Func, theta float64, opts sampling.GreedyOptions) ([]int32, error) {
+	sample, err := sampling.Greedy(f, dataset.NewView(tbl, cell.Rows), theta, opts)
+	if err != nil {
+		return nil, fmt.Errorf("cube: sampling cell %d of cuboid %b: %w", cell.Key, cell.Mask, err)
+	}
+	return sample, nil
+}
+
+// forEachIndex runs fn(i) for every i in [0, n) on up to workers goroutines
+// (0 = GOMAXPROCS), handing indices out in ascending order until one fails
+// or ctx is cancelled; ctx's error, else the first failure, is returned.
+func forEachIndex(ctx context.Context, workers, n int, fn func(i int) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, n))
+	var (
+		wg     sync.WaitGroup
+		next   atomic.Int64
+		failed atomic.Pointer[error]
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for failed.Load() == nil && ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if err := fn(i); err != nil {
+					failed.CompareAndSwap(nil, &err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if err := failed.Load(); err != nil {
+		return *err
+	}
+	return nil
 }

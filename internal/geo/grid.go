@@ -57,8 +57,12 @@ func NewGridIndex(metric Metric, pts []Point, targetPerCell int) *GridIndex {
 	aspect := w / h
 	nxf := math.Sqrt(cellCount * aspect)
 	nyf := math.Sqrt(cellCount / aspect)
-	g.nx = clampInt(int(math.Ceil(nxf)), 1, 4096)
-	g.ny = clampInt(int(math.Ceil(nyf)), 1, 4096)
+	// Neither axis gets more cells than the whole grid aims for: points on
+	// a line (a zero-width box) would otherwise get thousands of empty
+	// cells along it, each probed by every query.
+	maxAxis := min(4096, int(math.Ceil(cellCount)))
+	g.nx = clampInt(int(math.Ceil(nxf)), 1, maxAxis)
+	g.ny = clampInt(int(math.Ceil(nyf)), 1, maxAxis)
 	g.cellW = w / float64(g.nx)
 	g.cellH = h / float64(g.ny)
 	g.scaleX, g.scaleY = axisScales(metric, g.box)

@@ -79,6 +79,25 @@ func TestGridIndexExactAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// Points on a line get no more grid cells than the grid aims for in total:
+// a zero-width box used to get 4 096 cells along the line, which every
+// query far from the line probed one ring at a time.
+func TestGridIndexLineCellBudget(t *testing.T) {
+	for _, n := range []int{1, 3, 40} {
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Point{X: 20, Y: 50 + float64(i)*0.05}
+		}
+		for _, m := range []Metric{Euclidean, Manhattan, Haversine} {
+			g := NewGridIndex(m, pts, 4)
+			if budget := (n + 3) / 4; g.nx*g.ny > budget {
+				t.Fatalf("%v, %d points on a line: %d×%d cells, want at most %d", m, n, g.nx, g.ny, budget)
+			}
+			checkExact(t, "line", m, pts, []Point{{X: 20, Y: 49}, {X: 21, Y: 50.5}, {X: 20, Y: 52}})
+		}
+	}
+}
+
 // Regression: the Haversine ring bound used a fixed 55.66 km per degree,
 // which over-states a longitude degree above |lat| = 60° (38 km at 70°),
 // so the search stopped a ring early and returned a non-nearest point.

@@ -8,9 +8,11 @@
 // cover pass: cells are visited largest first and each is tested only
 // against the representatives chosen before it, so the graph holds just
 // the cover edges — the non-exhaustive SamGraph the paper allows, on
-// which Select keeps exactly those representatives. Every other loss gets
-// the exhaustive loss-predicate similarity join. Either way every edge is
-// an exact loss ≤ θ test.
+// which Select keeps exactly those representatives. Cover runs the same
+// pass drawing each representative's sample on demand, so the caller need
+// not sample the cells it covers. Every other loss gets the exhaustive
+// loss-predicate similarity join. Either way every edge is an exact
+// loss ≤ θ test.
 package samgraph
 
 import (
@@ -415,9 +417,9 @@ func (j *join) ranged(ctx context.Context, wk *joinWorker, rank int, kr loss.Key
 //
 //   - loss.RowCoster: the loss is a mean of non-negative row costs, so a
 //     pair is rejected as soon as a partial sum passes theta·|rows|. These
-//     losses take the cover pass (cover), not the join: each cell is
-//     tested only against the representatives chosen before it, and the
-//     graph holds only cover edges;
+//     losses take the cover pass — Cover's, fed the precomputed samples —
+//     not the join: each cell is tested only against the representatives
+//     chosen before it, and the graph holds only cover edges;
 //   - loss.RawSummarizer: cell states never read the sample, so every
 //     target is folded once, in row order, and a pair is one Loss call on
 //     the candidate's rebound evaluator; if it is also a loss.KeyRanger,
@@ -439,30 +441,14 @@ func (j *join) ranged(ctx context.Context, wk *joinWorker, rank int, kr loss.Key
 // build with ctx.Err().
 func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Func, theta float64, opts BuildOptions) (*Graph, error) {
 	defer obs.StartStage(ctx, "samgraph_join")()
-	n := len(vertices)
-	g := &Graph{Out: make([][]int, n)}
-	for v := range g.Out {
-		g.Out[v] = []int{v}
-	}
-	if n <= 1 {
-		return g, nil
+	if len(vertices) <= 1 {
+		return newGraph(len(vertices)), nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	j := &join{tbl: tbl, vertices: vertices, f: f, theta: theta, maxCand: opts.MaxCandidates,
-		order: buildOrder(vertices), pos: make([]int, n), out: g.Out}
-	for i, v := range j.order {
-		j.pos[v] = i
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	g, j, workers := newJoin(tbl, vertices, f, theta, opts)
+	n := len(vertices)
 
 	var costed bool
 	if dr, ok := f.(loss.DryRunner); ok {
@@ -509,7 +495,8 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 	}
 
 	if costed {
-		if err := j.cover(ctx, g, workers); err != nil {
+		err := j.cover(ctx, g, workers, coverLookahead, func(v int) ([]int32, error) { return vertices[v].SampleRows, nil })
+		if err != nil {
 			return nil, err
 		}
 	} else {
@@ -523,6 +510,39 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 			g.PairsPruned += wk.pruned
 		}
 	}
+	g.count(ctx)
+	return g, nil
+}
+
+// newGraph returns the graph of n vertices with only their self-edges.
+func newGraph(n int) *Graph {
+	g := &Graph{Out: make([][]int, n)}
+	for v := range g.Out {
+		g.Out[v] = []int{v}
+	}
+	return g
+}
+
+// newJoin returns the self-edge graph over vertices, the join state that
+// fills it and its worker count (opts.Workers, else GOMAXPROCS, at most one
+// per vertex).
+func newJoin(tbl *dataset.Table, vertices []Vertex, f loss.Func, theta float64, opts BuildOptions) (*Graph, *join, int) {
+	n := len(vertices)
+	g := newGraph(n)
+	j := &join{tbl: tbl, vertices: vertices, f: f, theta: theta, maxCand: opts.MaxCandidates,
+		order: buildOrder(vertices), pos: make([]int, n), out: g.Out}
+	for i, v := range j.order {
+		j.pos[v] = i
+	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return g, j, max(1, min(workers, n))
+}
+
+// count adds g's work counts to the tracer in ctx.
+func (g *Graph) count(ctx context.Context) {
 	st := obs.StagesFrom(ctx)
 	st.Count("tabula_samgraph_pairs_total", "SamGraph join representation tests performed.", g.PairsTested)
 	st.Count("tabula_samgraph_cover_tests_total", "SamGraph representation tests run by the cover pass, which tests each cell only against the representatives chosen before it.", g.CoverTests)
@@ -531,7 +551,6 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 	const costsHelp = "Row costs summed by SamGraph pair tests: computed by the loss evaluator, or reused from an earlier target of the same block."
 	st.Count("tabula_samgraph_row_costs_total", costsHelp, g.RowCosts-g.RowCostsReused, obs.Label{Name: "outcome", Value: "computed"})
 	st.Count("tabula_samgraph_row_costs_total", costsHelp, g.RowCostsReused, obs.Label{Name: "outcome", Value: "reused"})
-	return g, nil
 }
 
 // coverBlock is how many of one representative's targets the cover pass
@@ -539,20 +558,72 @@ func Build(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Fu
 // which worker takes it changes no counter.
 const coverBlock = 64
 
-// cover is Build's path for a loss.RowCoster. Vertices are visited by
-// descending population, index ascending among ties; one that no earlier
-// representative covers becomes a representative, and Graph.Out[v] lists
-// v and the vertices assigned to it. That is the online pass — test each
-// cell against the representatives so far, in the order they were chosen
-// — run rep-major: a representative binds its evaluator once and tests
-// every later vertex still uncovered. A vertex left uncovered by all
-// earlier representatives has failed each of them, so the representative
-// that covers it now is its first covering one, exactly as online.
-// MaxCandidates > 0 stops testing a vertex after that many
-// representatives. Select on the result keeps exactly the
-// representatives: their cover sets are disjoint and every other vertex
-// has only its self-edge.
-func (j *join) cover(ctx context.Context, g *Graph, workers int) error {
+// coverLookahead is how many of the cells after the current representative
+// in visit order, still uncovered, the cover pass's idle workers may sample
+// ahead of need. A speculative sample is a full Algorithm 1 run wasted if
+// the cell is covered meanwhile, so the window stays small.
+const coverLookahead = 4
+
+// Cover is the cover pass Build runs for a loss whose bound evaluators are
+// loss.RowCosters, with each representative's sample drawn on demand:
+// sample(v) returns vertex v's local sample, and vertices[v].SampleRows is
+// not read. On return, each representative's Vertex.SampleRows holds its
+// sample; every other vertex's is left as it was. The graph, its counters
+// and the samples kept are exactly those of Build over vertices whose
+// SampleRows hold sample(v) for every v, at any opts.Workers.
+//
+// sample must be a deterministic function of v, safe for concurrent calls:
+// workers that have no test blocks to run call it ahead of need for the
+// next few uncovered cells in visit order, and the result of a cell that
+// ends up covered is dropped — its error too. An error sample returns for
+// a representative is returned unchanged. ctx cancellation aborts the pass
+// with ctx.Err(); every goroutine it started has exited when it returns.
+func Cover(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Func, theta float64, opts BuildOptions, sample func(v int) ([]int32, error)) (*Graph, error) {
+	defer obs.StartStage(ctx, "samgraph_join")()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	g, err := coverAhead(ctx, tbl, vertices, f, theta, opts, coverLookahead, sample)
+	if err != nil {
+		return nil, err
+	}
+	g.count(ctx)
+	return g, nil
+}
+
+// coverAhead is Cover with the given lookahead.
+func coverAhead(ctx context.Context, tbl *dataset.Table, vertices []Vertex, f loss.Func, theta float64, opts BuildOptions, lookahead int, sample func(v int) ([]int32, error)) (*Graph, error) {
+	dr, ok := f.(loss.DryRunner)
+	if !ok {
+		return nil, fmt.Errorf("samgraph: loss %q has no bound evaluators to cover with", f.Name())
+	}
+	g, j, workers := newJoin(tbl, vertices, f, theta, opts)
+	j.dr = dr
+	if err := j.cover(ctx, g, workers, lookahead, sample); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// cover runs the cover pass. Vertices are visited by descending population,
+// index ascending among ties; one that no earlier representative covers
+// becomes a representative, and Graph.Out[v] lists v and the vertices
+// assigned to it. That is the online pass — test each cell against the
+// representatives so far, in the order they were chosen — run rep-major: a
+// representative binds its evaluator once and tests every later vertex
+// still uncovered. A vertex left uncovered by all earlier representatives
+// has failed each of them, so the representative that covers it now is its
+// first covering one, exactly as online. MaxCandidates > 0 stops testing a
+// vertex after that many representatives. Select on the result keeps
+// exactly the representatives: their cover sets are disjoint and every
+// other vertex has only its self-edge.
+//
+// The calling goroutine walks the visit order; workers-1 helpers share a
+// representative's test blocks with it and, while no block is left, sample
+// up to lookahead of the next uncovered cells ahead of need (coverPool).
+// The walker consumes samples strictly in visit order, so the output does
+// not depend on workers or lookahead.
+func (j *join) cover(ctx context.Context, g *Graph, workers, lookahead int, sample func(v int) ([]int32, error)) error {
 	n := len(j.vertices)
 	visit := make([]int, n)
 	for i := range visit {
@@ -565,12 +636,42 @@ func (j *join) cover(ctx context.Context, g *Graph, workers int) error {
 		}
 		return visit[a] < visit[b]
 	})
+	p := &coverPool{j: j, ctx: ctx, sample: sample, memos: make([]*costMemo, workers), spec: make([]specCell, n)}
+	p.wake = sync.NewCond(&p.mu)
+	err := j.walk(ctx, g, p, visit, lookahead)
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	if err != nil {
+		return err
+	}
+	g.CoverTests = g.PairsTested
+	var computed int64
+	for _, m := range p.memos {
+		if m != nil {
+			g.RowCosts += m.costs
+			computed += m.computed
+		}
+	}
+	g.RowCostsReused = g.RowCosts - computed
+	return nil
+}
+
+// walk is the cover pass's walker: it visits the cells in order, samples
+// and binds each representative, and runs its test blocks with the pool,
+// whose helpers have all exited when it returns.
+func (j *join) walk(ctx context.Context, g *Graph, p *coverPool, visit []int, lookahead int) error {
+	for w := 1; w < len(p.memos); w++ {
+		p.wg.Add(1)
+		go p.help(w)
+	}
+	defer p.close()
+	n := len(j.vertices)
 	covered := make([]bool, n)
 	var tested []int // representatives each vertex was tested against, under a cap
 	if j.maxCand > 0 {
 		tested = make([]int, n)
 	}
-	memos := make([]*costMemo, workers)
 	var (
 		targets []int32
 		passed  []bool
@@ -580,7 +681,16 @@ func (j *join) cover(ctx context.Context, g *Graph, workers int) error {
 		if covered[v] {
 			continue
 		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		covered[v] = true
+		p.speculate(visit[i+1:], covered, lookahead)
+		sam, err := p.take(v)
+		if err != nil {
+			return err
+		}
+		j.vertices[v].SampleRows = sam
 		targets = targets[:0]
 		for _, u := range visit[i+1:] {
 			if !covered[u] && (tested == nil || tested[u] < j.maxCand) {
@@ -590,7 +700,7 @@ func (j *join) cover(ctx context.Context, g *Graph, workers int) error {
 		if len(targets) == 0 {
 			continue
 		}
-		ev, err := j.dr.BindSample(j.tbl, dataset.NewView(j.tbl, j.vertices[v].SampleRows))
+		ev, err := j.dr.BindSample(j.tbl, dataset.NewView(j.tbl, sam))
 		if err != nil {
 			return fmt.Errorf("samgraph: binding representative %d: %w", v, err)
 		}
@@ -603,47 +713,231 @@ func (j *join) cover(ctx context.Context, g *Graph, workers int) error {
 		}
 		passed = passed[:len(targets)]
 		nb := (len(targets) + coverBlock - 1) / coverBlock
-		err = forEach(ctx, min(workers, nb), nb, func(w, b int) error {
-			m := memos[w]
-			if m == nil {
-				m = newCostMemo()
-				memos[w] = m
-			}
-			m.bind(rc, blocks+int64(b))
-			for k := b * coverBlock; k < min((b+1)*coverBlock, len(targets)); k++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				passed[k] = !m.exceeds(j.vertices[targets[k]].Rows, j.theta)
-			}
-			return nil
-		})
-		if err != nil {
+		if err := p.test(rc, targets, passed, blocks, nb); err != nil {
 			return err
 		}
 		blocks += int64(nb)
 		g.PairsTested += int64(len(targets))
+		p.mu.Lock()
 		for k, u := range targets {
 			switch {
 			case passed[k]:
 				covered[u] = true
+				p.spec[u] = specCell{state: specSettled}
 				g.Out[v] = append(g.Out[v], int(u))
 			case tested != nil:
 				tested[u]++
 			}
 		}
+		p.mu.Unlock()
 		sort.Ints(g.Out[v])
 	}
-	g.CoverTests = g.PairsTested
-	var computed int64
-	for _, m := range memos {
-		if m != nil {
-			g.RowCosts += m.costs
-			computed += m.computed
+	return nil
+}
+
+// specCell is one vertex's speculative sample.
+type specCell struct {
+	state specState
+	rows  []int32
+	err   error
+}
+
+type specState uint8
+
+const (
+	specNone    specState = iota
+	specQueued            // in coverPool.queue
+	specRunning           // being sampled ahead of need
+	specDone              // rows and err hold the result
+	specSettled           // covered, or taken by the walker: a late result is thrown away
+)
+
+// coverPool is what the cover pass's walker and its helpers share. The
+// walker posts a representative's test blocks, runs blocks itself until
+// none is left and waits for the helpers' to finish; a helper runs blocks
+// while any is left, and otherwise samples the next queued cell.
+type coverPool struct {
+	j      *join
+	ctx    context.Context
+	sample func(v int) ([]int32, error)
+	memos  []*costMemo // per goroutine, the walker's at 0
+	wg     sync.WaitGroup
+
+	mu sync.Mutex
+	// wake is broadcast when blocks are posted or finished, a speculative
+	// sample finishes, or the pool closes.
+	wake *sync.Cond
+	// The current representative's test blocks: block b covers
+	// targets[b·coverBlock:] and is bound under memo tag base+b.
+	rc       loss.RowCoster
+	targets  []int32
+	passed   []bool
+	base     int64
+	next, nb int // the next block to deal, and the block count
+	running  int // blocks dealt and not finished
+	blockErr error
+	// Speculation: queue holds the cells to sample ahead, in visit order.
+	queue  []int32
+	spec   []specCell
+	closed bool
+}
+
+// speculate queues for the helpers the first lookahead cells of rest that
+// are still uncovered and have not been sampled yet.
+func (p *coverPool) speculate(rest []int, covered []bool, lookahead int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, u := range p.queue {
+		if p.spec[u].state == specQueued {
+			p.spec[u].state = specNone
 		}
 	}
-	g.RowCostsReused = g.RowCosts - computed
+	p.queue = p.queue[:0]
+	if len(p.memos) == 1 {
+		return // no helper would take them
+	}
+	window := 0
+	for _, u := range rest {
+		if window == lookahead {
+			break
+		}
+		if covered[u] {
+			continue
+		}
+		window++
+		if p.spec[u].state == specNone {
+			p.spec[u].state = specQueued
+			p.queue = append(p.queue, int32(u))
+		}
+	}
+	if len(p.queue) > 0 {
+		p.wake.Broadcast()
+	}
+}
+
+// take returns vertex v's sample: the speculative one if a helper has
+// drawn it, else one drawn now. While a helper is still drawing it, the
+// walker samples queued cells itself rather than wait idle. speculate has
+// just unqueued v, which is not in the rest it is given.
+func (p *coverPool) take(v int) ([]int32, error) {
+	p.mu.Lock()
+	for p.spec[v].state == specRunning {
+		if !p.runQueued() {
+			p.wake.Wait()
+		}
+	}
+	c := p.spec[v]
+	p.spec[v] = specCell{state: specSettled}
+	p.mu.Unlock()
+	if c.state == specDone {
+		return c.rows, c.err
+	}
+	return p.sample(v)
+}
+
+// test runs the nb test blocks of a representative whose evaluator is rc
+// on the walker and every idle helper, and returns once all have finished:
+// passed[k] reports whether rc's sample represents targets[k].
+func (p *coverPool) test(rc loss.RowCoster, targets []int32, passed []bool, base int64, nb int) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.rc, p.targets, p.passed, p.base, p.next, p.nb, p.blockErr = rc, targets, passed, base, 0, nb, nil
+	p.wake.Broadcast()
+	for {
+		if p.next < p.nb && p.blockErr == nil {
+			p.runBlock(0)
+			continue
+		}
+		if p.running == 0 {
+			break
+		}
+		p.wake.Wait()
+	}
+	p.nb = 0
+	return p.blockErr
+}
+
+// runBlock deals the next block to goroutine w and runs it, unlocking
+// p.mu meanwhile.
+func (p *coverPool) runBlock(w int) {
+	b := p.next
+	p.next++
+	p.running++
+	rc, targets, passed, tag := p.rc, p.targets, p.passed, p.base+int64(b)
+	p.mu.Unlock()
+	err := p.block(w, rc, targets, passed, tag, b)
+	p.mu.Lock()
+	p.running--
+	if err != nil && p.blockErr == nil {
+		p.blockErr = err
+	}
+	if p.running == 0 {
+		p.wake.Broadcast() // the walker may be waiting for the last block
+	}
+}
+
+// block tests block b of targets against rc on goroutine w's memo.
+func (p *coverPool) block(w int, rc loss.RowCoster, targets []int32, passed []bool, tag int64, b int) error {
+	m := p.memos[w]
+	if m == nil {
+		m = newCostMemo()
+		p.memos[w] = m
+	}
+	m.bind(rc, tag)
+	for k := b * coverBlock; k < min((b+1)*coverBlock, len(targets)); k++ {
+		if err := p.ctx.Err(); err != nil {
+			return err
+		}
+		passed[k] = !m.exceeds(p.j.vertices[targets[k]].Rows, p.j.theta)
+	}
 	return nil
+}
+
+// help is helper w's loop: test blocks first, then speculative samples,
+// until the pool closes.
+func (p *coverPool) help(w int) {
+	defer p.wg.Done()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for !p.closed {
+		if p.next < p.nb && p.blockErr == nil {
+			p.runBlock(w)
+		} else if !p.runQueued() {
+			p.wake.Wait()
+		}
+	}
+}
+
+// runQueued samples the first queued cell not covered since it was queued,
+// unlocking p.mu meanwhile, and reports whether there was one.
+func (p *coverPool) runQueued() bool {
+	for len(p.queue) > 0 && p.ctx.Err() == nil {
+		v := p.queue[0]
+		p.queue = p.queue[1:]
+		if p.spec[v].state != specQueued {
+			continue
+		}
+		p.spec[v].state = specRunning
+		p.mu.Unlock()
+		rows, err := p.sample(int(v))
+		p.mu.Lock()
+		if p.spec[v].state == specRunning {
+			p.spec[v] = specCell{state: specDone, rows: rows, err: err}
+		}
+		p.wake.Broadcast()
+		return true
+	}
+	return false
+}
+
+// close stops the helpers and waits for them to exit; a helper in the
+// middle of a speculative sample finishes it first.
+func (p *coverPool) close() {
+	p.mu.Lock()
+	p.closed = true
+	p.wake.Broadcast()
+	p.mu.Unlock()
+	p.wg.Wait()
 }
 
 // sortKeys fills keyed, keys and unkeyed from every target's key.

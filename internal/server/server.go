@@ -482,6 +482,13 @@ func (s *Server) handleCubes(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string][]string{"cubes": s.db.Cubes()})
 }
 
+// handleStats reports a cube's inventory, footprint and build timings.
+// real_run_ms is the real run: fetching the iceberg cells' raw rows and,
+// unless selection samples them on demand, drawing every cell's local
+// sample. For a loss with per-row costs (heatmap, histogram) selection
+// does sample on demand, so real_run_ms is the fetch alone and
+// sample_selection_ms also holds the greedy sampling of the cells the
+// cover pass keeps; it always holds materializing the persisted samples.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("cube")
 	cube, ok := s.db.CubeByName(name)

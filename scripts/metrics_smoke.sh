@@ -74,6 +74,7 @@ for family in \
 	tabula_samgraph_cover_tests_total \
 	tabula_samgraph_summaries_total \
 	tabula_samgraph_pairs_pruned_total \
+	tabula_sampling_greedy_runs_total \
 	tabula_cube_version; do
 	if ! grep -q "^${family}" "${TMP}/metrics.txt"; then
 		echo "metrics-smoke: exposition is missing ${family}" >&2
