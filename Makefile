@@ -39,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendBatch$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRange$$' -fuzztime $(FUZZTIME) ./internal/loss
+	$(GO) test -run '^$$' -fuzz '^FuzzCoverFloor$$' -fuzztime $(FUZZTIME) ./internal/loss
 	$(GO) test -run '^$$' -fuzz '^FuzzDryRunChunked$$' -fuzztime $(FUZZTIME) ./internal/cube
 	$(GO) test -run '^$$' -fuzz '^FuzzNearestDistance$$' -fuzztime $(FUZZTIME) ./internal/geo
 	$(GO) test -run '^$$' -fuzz '^FuzzCoverSpeculative$$' -fuzztime $(FUZZTIME) ./internal/samgraph

@@ -335,7 +335,10 @@ func (t *Tabula) Append(ctx context.Context, batch *dataset.Table) (*AppendStats
 					continue
 				}
 			}
-			sampleRows, err := sampling.Greedy(t.params.Loss, cellView, t.params.Theta, t.params.Greedy)
+			// The raw table has grown, so the batch is applied to
+			// completion: the greedy gets ctx's values, not its
+			// cancellation.
+			sampleRows, err := sampling.GreedyContext(context.WithoutCancel(ctx), t.params.Loss, cellView, t.params.Theta, t.params.Greedy)
 			if err != nil {
 				return fmt.Errorf("core: resampling cell %d: %w", key, err)
 			}

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
 	"github.com/tabula-db/tabula/internal/dataset"
+	"github.com/tabula-db/tabula/internal/geo"
 	"github.com/tabula-db/tabula/internal/loss"
 )
 
@@ -138,4 +140,78 @@ func flattenCubeTable(sn *snapshot) map[uint64][2]int32 {
 		}
 	}
 	return out
+}
+
+// pickLoss is a heatmap whose greedy evaluators report each pick to
+// onAdd.
+type pickLoss struct {
+	*loss.Heatmap
+	onAdd func(e *pickEval)
+}
+
+func (h *pickLoss) NewGreedy(raw dataset.View) (loss.GreedyEvaluator, error) {
+	ev, err := h.Heatmap.NewGreedy(raw)
+	if err != nil {
+		return nil, err
+	}
+	return &pickEval{GreedyEvaluator: ev, h: h}, nil
+}
+
+type pickEval struct {
+	loss.GreedyEvaluator
+	h     *pickLoss
+	picks int
+}
+
+func (e *pickEval) Add(i int) {
+	e.GreedyEvaluator.Add(i)
+	e.picks++
+	e.h.onAdd(e)
+}
+
+// A context cancelled while a large cell's greedy sampler runs aborts the
+// (fused) heatmap Build with context.Canceled: that sampler makes no pick
+// after the cancel, any other one at most the pick it was making, and every
+// goroutine the build started has exited when it returns.
+func TestBuildCancelledMidGreedy(t *testing.T) {
+	tbl := taxiTable(12000, 34)
+	for _, workers := range []int{1, 2} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		var (
+			mu        sync.Mutex
+			cancelled *pickEval
+			late      = map[*pickEval]int{} // picks after the cancel
+		)
+		h := &pickLoss{Heatmap: loss.NewHeatmap("pickup", geo.Euclidean)}
+		h.onAdd = func(e *pickEval) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case cancelled != nil:
+				late[e]++
+			case e.Len() >= 1000 && e.picks == 3:
+				cancel()
+				cancelled = e
+			}
+		}
+		p := DefaultParams(h, 0.001, "distance", "passengers", "payment")
+		p.Workers = workers
+		_, err := Build(ctx, tbl, p)
+		cancel()
+		if !errors.Is(err, context.Canceled) || cancelled == nil {
+			t.Fatalf("workers=%d: Build returned %v, want context.Canceled from a cancel mid-greedy", workers, err)
+		}
+		if late[cancelled] != 0 || len(late) > workers-1 {
+			t.Fatalf("workers=%d: the cancelled sampler made %d more picks, %d other samplers picked after it", workers, late[cancelled], len(late))
+		}
+		for e, n := range late {
+			if n > 1 {
+				t.Fatalf("workers=%d: a sampler of %d points made %d picks after the cancel", workers, e.Len(), n)
+			}
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("workers=%d: %d goroutines before Build, %d after it returned", workers, before, after)
+		}
+	}
 }

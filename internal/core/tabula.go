@@ -550,7 +550,7 @@ func Build(ctx context.Context, tbl *dataset.Table, p Params) (*Tabula, error) {
 		if fused {
 			graph, err = samgraph.Cover(ctx, tbl, vertices, p.Loss, p.Theta, opts, func(v int) ([]int32, error) {
 				runs.Add(1)
-				return cube.SampleCell(tbl, real.Cells[v], p.Loss, p.Theta, p.Greedy)
+				return cube.SampleCell(ctx, tbl, real.Cells[v], p.Loss, p.Theta, p.Greedy)
 			})
 		} else {
 			graph, err = samgraph.Build(ctx, tbl, vertices, p.Loss, p.Theta, opts)

@@ -228,7 +228,7 @@ func sampleCells(ctx context.Context, tbl *dataset.Table, cells []*IcebergCell, 
 	})
 	return forEachIndex(ctx, opts.Workers, len(feed), func(i int) error {
 		cell := cells[feed[i]]
-		sample, err := SampleCell(tbl, cell, f, theta, opts.Greedy)
+		sample, err := SampleCell(ctx, tbl, cell, f, theta, opts.Greedy)
 		if err != nil {
 			return err
 		}
@@ -238,10 +238,14 @@ func sampleCells(ctx context.Context, tbl *dataset.Table, cells []*IcebergCell, 
 }
 
 // SampleCell runs the greedy sampler (Algorithm 1) on the cell's raw rows
-// and returns its local sample as table row ids; an error names the cell.
-func SampleCell(tbl *dataset.Table, cell *IcebergCell, f loss.Func, theta float64, opts sampling.GreedyOptions) ([]int32, error) {
-	sample, err := sampling.Greedy(f, dataset.NewView(tbl, cell.Rows), theta, opts)
+// and returns its local sample as table row ids; an error names the cell,
+// except ctx's own, which is returned as is once ctx is done.
+func SampleCell(ctx context.Context, tbl *dataset.Table, cell *IcebergCell, f loss.Func, theta float64, opts sampling.GreedyOptions) ([]int32, error) {
+	sample, err := sampling.GreedyContext(ctx, f, dataset.NewView(tbl, cell.Rows), theta, opts)
 	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, ctxErr
+		}
 		return nil, fmt.Errorf("cube: sampling cell %d of cuboid %b: %w", cell.Key, cell.Mask, err)
 	}
 	return sample, nil

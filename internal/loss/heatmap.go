@@ -130,6 +130,115 @@ func (e *heatmapCellEvaluator) Loss(st CellState) float64 {
 
 func (e *heatmapCellEvaluator) StateBytes() int64 { return 16 }
 
+// floorGrid is how many cells the cover's floor grid has along each axis.
+const floorGrid = 128
+
+// CostFloors implements CostFloorer for the Euclidean metric: the table's
+// points are binned into a fixed floorGrid × floorGrid grid over their
+// bounding box, and each occupied grid cell is one region.
+func (h *Heatmap) CostFloors(table *dataset.Table) (CostFloors, error) {
+	if h.Metric != geo.Euclidean {
+		return nil, nil
+	}
+	col, err := resolvePoint(table.Schema(), h.Column)
+	if err != nil {
+		return nil, err
+	}
+	pts := table.Points(col)
+	if len(pts) == 0 {
+		return nil, nil
+	}
+	return newHeatmapFloors(pts), nil
+}
+
+// heatmapFloors is a table's floor grid. A region's floor under a sample is
+// its centre's distance to the sample less its radius: every point of the
+// region lies within radius of the centre, so by the triangle inequality it
+// is at least that far from every sample point.
+type heatmapFloors struct {
+	regionOf []int32     // per table row
+	centre   []geo.Point // per region: the middle of its points' bounding box
+	radius   []float64   // per region: the largest distance from centre to a point
+}
+
+func newHeatmapFloors(pts []geo.Point) *heatmapFloors {
+	box := geo.NewBBox(pts)
+	var sx, sy float64 // 0 for a box of no (or no finite) width: one column
+	if w := box.Width(); w > 0 {
+		sx = floorGrid / w
+	}
+	if h := box.Height(); h > 0 {
+		sy = floorGrid / h
+	}
+	f := &heatmapFloors{regionOf: make([]int32, len(pts))}
+	// regionOf first holds each point's grid cell, renumbered to occupied
+	// cells in grid order below; the clamp puts the box's max edge (and a
+	// zero-width box) in the last cell.
+	region := make([]int32, floorGrid*floorGrid)
+	for i, p := range pts {
+		cx := clampIdx(int((p.X-box.Min.X)*sx), 0, floorGrid-1)
+		cy := clampIdx(int((p.Y-box.Min.Y)*sy), 0, floorGrid-1)
+		c := int32(cy*floorGrid + cx)
+		f.regionOf[i] = c
+		region[c] = 1
+	}
+	var n int32
+	for c, used := range region {
+		if used != 0 {
+			region[c] = n
+			n++
+		} else {
+			region[c] = -1
+		}
+	}
+	bounds := make([]geo.BBox, n)
+	seen := make([]bool, n)
+	for i, p := range pts {
+		r := region[f.regionOf[i]]
+		f.regionOf[i] = r
+		if !seen[r] {
+			bounds[r], seen[r] = geo.BBox{Min: p, Max: p}, true
+		} else {
+			bounds[r] = bounds[r].Extend(p)
+		}
+	}
+	f.centre = make([]geo.Point, n)
+	for r, b := range bounds {
+		f.centre[r] = b.Center()
+	}
+	f.radius = make([]float64, n)
+	for i, p := range pts {
+		r := f.regionOf[i]
+		// "Not within" rather than "above": a NaN distance makes the radius
+		// NaN, and the region's floor 0.
+		if d := geo.Distance(geo.Euclidean, p, f.centre[r]); !(d <= f.radius[r]) {
+			f.radius[r] = d
+		}
+	}
+	return f
+}
+
+func (f *heatmapFloors) Regions() ([]int32, int) { return f.regionOf, len(f.centre) }
+
+// Floor implements CostFloors. The bound gives up a relative 1e-9 of both
+// distances, far above their rounding error, so it holds for the float
+// RowCost returns. An evaluator the heatmap did not bind (a wrapper's) gets
+// the trivial floor 0.
+func (f *heatmapFloors) Floor(ev RowCoster, r int32) float64 {
+	e, ok := ev.(*heatmapCellEvaluator)
+	switch {
+	case !ok:
+		return 0
+	case e.empty:
+		return math.Inf(1)
+	}
+	d, rad := e.grid.NearestDistance(f.centre[r]), f.radius[r]
+	if lo := d - rad - 1e-9*(d+rad); lo > 0 {
+		return lo
+	}
+	return 0
+}
+
 // heatmapDense holds the (Σ min-distance, count) states as flat slices;
 // per-row nearest-sample distances still go through the grid index, but
 // the state probe, the count, and the sum are unboxed.
@@ -196,12 +305,18 @@ func (d *heatmapDense) Export(slot int32) CellState {
 // the sample grows maxMin shrinks, and candidate evaluation drops from
 // O(n) to near-constant — this is where the sampler spends its time
 // under the lazy-forward strategy.
+//
+// The per-point distances are kept in the index's cell order, next to the
+// index's copy of the points, so that scan reads both front to back; Add
+// still sums them in view order, which fixes the float sum.
 type heatmapGreedy struct {
-	metric  geo.Metric
-	pts     []geo.Point
+	metric geo.Metric
+	pts    []geo.Point // in view order: the candidates, and the first round's sums
+	// minDist[k] is the distance from the point at position k of idx's
+	// cell order to the sample.
 	minDist []float64
 	// minSq is the Euclidean fast path (nil for the other metrics):
-	// minDist[j] == sqrt(minSq[j]). Square root is correctly rounded, hence
+	// minDist[k] == sqrt(minSq[k]). Square root is correctly rounded, hence
 	// monotone, so "closer" is decided on squares and the root is taken
 	// only for a point that improves.
 	minSq  []float64
@@ -214,17 +329,17 @@ type heatmapGreedy struct {
 }
 
 // pointIndex is a uniform grid over point INDEXES (geo.GridIndex stores
-// points only), supporting radius-bounded enumeration. Indexes are stored
-// sorted by cell (row-major, ascending within a cell) behind a CSR offset
-// table, with a copy of the points in the same order, so the cells of one
-// grid row that a search touches are one contiguous run of both.
+// points only), supporting radius-bounded enumeration. The points are
+// copied sorted by cell (row-major, view order within a cell) behind a CSR
+// offset table, so the cells of one grid row that a search touches are one
+// contiguous run.
 type pointIndex struct {
 	box          geo.BBox
 	nx, ny       int
 	cellW, cellH float64
-	ids          []int32     // point indexes, sorted by cell
-	pts          []geo.Point // pts[k] is the point with index ids[k]
-	off          []int32     // cell c holds ids[off[c]:off[c+1]]
+	pts          []geo.Point // in cell order
+	pos          []int32     // pos[j] is view point j's position in pts
+	off          []int32     // cell c holds pts[off[c]:off[c+1]]
 }
 
 func newPointIndex(pts []geo.Point) *pointIndex {
@@ -244,8 +359,12 @@ func newPointIndex(pts []geo.Point) *pointIndex {
 		h = 1e-12
 	}
 	aspect := w / h
-	g.nx = clampIdx(int(math.Ceil(math.Sqrt(cellCount*aspect))), 1, 2048)
-	g.ny = clampIdx(int(math.Ceil(math.Sqrt(cellCount/aspect))), 1, 2048)
+	// Neither axis gets more cells than the whole grid aims for, as in
+	// geo.NewGridIndex: points on a line would otherwise get up to 2 048
+	// mostly empty cells along it, each visited by every search.
+	maxAxis := min(2048, int(math.Ceil(cellCount)))
+	g.nx = clampIdx(int(math.Ceil(math.Sqrt(cellCount*aspect))), 1, maxAxis)
+	g.ny = clampIdx(int(math.Ceil(math.Sqrt(cellCount/aspect))), 1, maxAxis)
 	g.cellW = w / float64(g.nx)
 	g.cellH = h / float64(g.ny)
 	cellOf := make([]int32, len(pts))
@@ -253,10 +372,13 @@ func newPointIndex(pts []geo.Point) *pointIndex {
 		cx, cy := g.coords(p)
 		cellOf[i] = int32(cy*g.nx + cx)
 	}
-	g.ids, g.off = geo.CellOrder(cellOf, g.nx*g.ny)
+	var ids []int32
+	ids, g.off = geo.CellOrder(cellOf, g.nx*g.ny)
 	g.pts = make([]geo.Point, len(pts))
-	for k, i := range g.ids {
+	g.pos = make([]int32, len(pts))
+	for k, i := range ids {
 		g.pts[k] = pts[i]
+		g.pos[i] = int32(k)
 	}
 	return g
 }
@@ -362,7 +484,7 @@ func (g *heatmapGreedy) LossWith(i int) float64 {
 		}
 		for j, p := range g.pts {
 			d := geo.Distance(g.metric, p, c)
-			if m := g.minDist[j]; m < d {
+			if m := g.minDist[g.idx.pos[j]]; m < d {
 				d = m
 			}
 			sum += d
@@ -377,28 +499,27 @@ func (g *heatmapGreedy) LossWith(i int) float64 {
 	var reduction float64
 	for cy := loY; cy <= hiY; cy++ {
 		lo, hi := idx.off[cy*idx.nx+loX], idx.off[cy*idx.nx+hiX+1]
-		ids, pts := idx.ids[lo:hi], idx.pts[lo:hi]
+		pts, minDist := idx.pts[lo:hi], g.minDist[lo:hi]
 		switch g.metric {
 		case geo.Euclidean:
+			minSq := g.minSq[lo:hi]
 			for k, p := range pts {
 				dx, dy := p.X-c.X, p.Y-c.Y
-				dsq := dx*dx + dy*dy
-				if j := ids[k]; dsq < g.minSq[j] {
+				if dsq := dx*dx + dy*dy; dsq < minSq[k] {
 					// A tie after rounding adds an exact zero.
-					reduction += g.minDist[j] - math.Sqrt(dsq)
+					reduction += minDist[k] - math.Sqrt(dsq)
 				}
 			}
 		case geo.Manhattan:
 			for k, p := range pts {
-				d := math.Abs(p.X-c.X) + math.Abs(p.Y-c.Y)
-				if j := ids[k]; d < g.minDist[j] {
-					reduction += g.minDist[j] - d
+				if d := math.Abs(p.X-c.X) + math.Abs(p.Y-c.Y); d < minDist[k] {
+					reduction += minDist[k] - d
 				}
 			}
 		default:
 			for k, p := range pts {
-				if j, d := ids[k], geo.Distance(g.metric, p, c); d < g.minDist[j] {
-					reduction += g.minDist[j] - d
+				if d := geo.Distance(g.metric, p, c); d < minDist[k] {
+					reduction += minDist[k] - d
 				}
 			}
 		}
@@ -410,21 +531,22 @@ func (g *heatmapGreedy) LossWith(i int) float64 {
 func (g *heatmapGreedy) Add(i int) {
 	c := g.pts[i]
 	if g.minSq != nil {
-		for j, p := range g.pts {
+		for k, p := range g.idx.pts {
 			dx, dy := p.X-c.X, p.Y-c.Y
-			if dsq := dx*dx + dy*dy; dsq < g.minSq[j] {
-				g.minSq[j], g.minDist[j] = dsq, math.Sqrt(dsq)
+			if dsq := dx*dx + dy*dy; dsq < g.minSq[k] {
+				g.minSq[k], g.minDist[k] = dsq, math.Sqrt(dsq)
 			}
 		}
 	} else {
-		for j, p := range g.pts {
-			if d := geo.Distance(g.metric, p, c); d < g.minDist[j] {
-				g.minDist[j] = d
+		for k, p := range g.idx.pts {
+			if d := geo.Distance(g.metric, p, c); d < g.minDist[k] {
+				g.minDist[k] = d
 			}
 		}
 	}
 	var sum, max float64
-	for _, m := range g.minDist {
+	for _, k := range g.idx.pos {
+		m := g.minDist[k]
 		sum += m
 		if m > max {
 			max = m
@@ -433,6 +555,86 @@ func (g *heatmapGreedy) Add(i int) {
 	g.sum = sum
 	g.maxMin = max
 	g.samN++
+}
+
+// boundMinPoints is the smallest cell whose first pick LossWithBounds
+// bounds: below it evaluating every candidate costs little more than
+// bounding them. boundPerBox is how many points a coarse box aims to hold,
+// and boundMaxBoxes caps the boxes a bound sums over.
+const (
+	boundMinPoints = 512
+	boundPerBox    = 16
+	boundMaxBoxes  = 1024
+)
+
+// coarseBox is one box of the first pick's bound: the bounding box of the
+// points that fall in one coarse grid cell, and their count.
+type coarseBox struct {
+	minX, minY, maxX, maxY, n float64
+}
+
+// LossWithBounds implements LowerBounder for the empty sample under the
+// Euclidean and Manhattan metrics. The points are binned into coarse grid
+// cells, each shrunk to the bounding box of its points; every point of a
+// box is at least as far from a candidate as the box is, so Σ count·(the
+// candidate's distance to the box) / n bounds the candidate's first-round
+// LossWith. The bound is scaled down by more than the rounding error of
+// either sum, so it also holds for the float LossWith returns.
+func (g *heatmapGreedy) LossWithBounds(cands []int, lo []float64) bool {
+	n := len(g.pts)
+	if g.samN != 0 || n < boundMinPoints || g.metric == geo.Haversine {
+		return false
+	}
+	boxes := g.coarseBoxes()
+	scale := (1 - 1e-9 - float64(n)*0x1p-50) / float64(n)
+	for k, i := range cands {
+		c := g.pts[i]
+		var sum float64
+		for _, b := range boxes {
+			dx := math.Max(0, math.Max(b.minX-c.X, c.X-b.maxX))
+			dy := math.Max(0, math.Max(b.minY-c.Y, c.Y-b.maxY))
+			if g.metric == geo.Euclidean {
+				sum += b.n * math.Sqrt(dx*dx+dy*dy)
+			} else {
+				sum += b.n * (dx + dy)
+			}
+		}
+		lo[k] = sum * scale
+	}
+	return true
+}
+
+// coarseBoxes bins the points into about n/boundPerBox coarse grid cells
+// (at most boundMaxBoxes) and returns the non-empty ones' bounding boxes.
+func (g *heatmapGreedy) coarseBoxes() []coarseBox {
+	box := g.idx.box
+	side := clampIdx(int(math.Sqrt(float64(len(g.pts))/boundPerBox)), 1, int(math.Sqrt(boundMaxBoxes)))
+	w, h := box.Width()/float64(side), box.Height()/float64(side)
+	boxes := make([]coarseBox, side*side)
+	for _, p := range g.pts {
+		cx, cy := side-1, side-1
+		if x := (p.X - box.Min.X) / w; x < float64(side-1) {
+			cx = max(0, int(x))
+		}
+		if y := (p.Y - box.Min.Y) / h; y < float64(side-1) {
+			cy = max(0, int(y))
+		}
+		b := &boxes[cy*side+cx]
+		if b.n == 0 {
+			*b = coarseBox{minX: p.X, minY: p.Y, maxX: p.X, maxY: p.Y}
+		} else {
+			b.minX, b.maxX = math.Min(b.minX, p.X), math.Max(b.maxX, p.X)
+			b.minY, b.maxY = math.Min(b.minY, p.Y), math.Max(b.maxY, p.Y)
+		}
+		b.n++
+	}
+	out := boxes[:0]
+	for _, b := range boxes {
+		if b.n > 0 {
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 // MergeSafe implements the MergeSafe marker: the average-min-distance

@@ -23,8 +23,13 @@
 //     without scoring it — a raw summary's loss under a sample can only be
 //     within θ when one scalar of the summary lies in an interval the
 //     sample and θ fix (mean, regression).
+//   - CostFloorer.CostFloors: regional lower bounds on a RowCoster's row
+//     costs, which let the cover pass reject a pair without computing any
+//     row cost (the heatmap under the Euclidean metric).
 //   - GreedyCapable.NewGreedy: an incremental evaluator that makes each
-//     round of the greedy sampling algorithm (Algorithm 1) cheap.
+//     round of the greedy sampling algorithm (Algorithm 1) cheap; a
+//     LowerBounder evaluator also bounds many candidates' losses at once,
+//     so the first pick is found by branch and bound.
 //   - MergeSafe: per-cell guarantees compose under disjoint union.
 //
 // Built-in losses mirror the paper's four instances: statistical mean
@@ -235,6 +240,41 @@ type RowCoster interface {
 	RowCost(row int32) float64
 }
 
+// CostFloorer is the capability of losses whose bound evaluators are
+// RowCosters with cheap regional lower bounds on their row costs.
+// CostFloors partitions a table's rows into regions once, and a region's
+// floor under a bound evaluator is at most the RowCost of each of its rows.
+// A cell whose rows' floors already sum past θ·|rows| cannot be within θ of
+// that evaluator's sample, so SamGraph's cover pass rejects such a pair
+// without computing a single row cost. It returns nil when the loss has no
+// floors for the table (the heatmap has them for the Euclidean metric).
+type CostFloorer interface {
+	CostFloors(table *dataset.Table) (CostFloors, error)
+}
+
+// CostFloors is one table's partition into regions, with floors on row
+// costs per region. Regions returns each table row's region, indexed by
+// row, and the region count. Floor bounds ev.RowCost(row) from below for
+// every row of region r, where ev is the loss's evaluator bound over the
+// same table; it is safe for concurrent calls, and may return +Inf when
+// every row's cost is +Inf.
+type CostFloors interface {
+	Regions() (regionOf []int32, n int)
+	Floor(ev RowCoster, r int32) float64
+}
+
+// LowerBounder is the optional capability of GreedyEvaluators that can
+// bound many candidates' LossWith from below at once, far more cheaply than
+// evaluating it. LossWithBounds sets lo[k] to at most LossWith(cands[k]) —
+// the float LossWith would return, under the current sample — for every k,
+// and reports whether it did; false leaves lo unspecified. The greedy
+// sampler chooses its first pick by branch and bound over these bounds,
+// evaluating exactly only the candidates whose bound does not exceed the
+// best loss found so far.
+type LowerBounder interface {
+	LossWithBounds(cands []int, lo []float64) bool
+}
+
 // MergeSafe is implemented by losses for which per-cell sample guarantees
 // compose under disjoint union: if loss(A, sA) ≤ θ and loss(B, sB) ≤ θ
 // for disjoint populations A and B, then loss(A∪B, sA∪sB) ≤ θ.
@@ -275,4 +315,7 @@ var (
 
 	_ KeyRanger = (*meanCellEvaluator)(nil)
 	_ KeyRanger = (*regCellEvaluator)(nil)
+
+	_ CostFloorer  = (*Heatmap)(nil)
+	_ LowerBounder = (*heatmapGreedy)(nil)
 )

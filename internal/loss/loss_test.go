@@ -348,12 +348,13 @@ func TestHeatmapGreedyRadiusBoundExact(t *testing.T) {
 		for round := 0; round < 25; round++ {
 			cand := r.Intn(400)
 			got := g.LossWith(cand)
-			// Brute force from the same minDist state.
+			// Brute force from the same minDist state, which is kept in
+			// the index's cell order: view point j's is at position pos[j].
 			var sum float64
 			c := gi.pts[cand]
 			for j, p := range gi.pts {
 				d := geo.Distance(metric, p, c)
-				if m := gi.minDist[j]; m < d {
+				if m := gi.minDist[gi.idx.pos[j]]; m < d {
 					d = m
 				}
 				sum += d

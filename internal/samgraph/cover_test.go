@@ -71,7 +71,7 @@ func checkOnDemand(t *testing.T, label string, got, want *Graph, s *recordingSam
 		t.Fatalf("%s: Out = %v, Build over the precomputed samples gives %v", label, got.Out, want.Out)
 	}
 	if got.PairsTested != want.PairsTested || got.CoverTests != want.CoverTests ||
-		got.RowCosts != want.RowCosts || got.RowCostsReused != want.RowCostsReused {
+		got.RowCosts != want.RowCosts || got.RowCostsReused != want.RowCostsReused || got.PairsPruned != want.PairsPruned {
 		t.Fatalf("%s: counters %+v, Build's %+v", label, *got, *want)
 	}
 	reps := make(map[int]bool)

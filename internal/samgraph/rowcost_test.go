@@ -253,14 +253,16 @@ func TestRowCostJoinMatchesLossDefinition(t *testing.T) {
 							t.Fatalf("%s: %v", label, err)
 						}
 						checkCover(t, label, g, vertices, m, theta, maxCand)
-						if g.RowCosts <= 0 || g.RowCostsReused < 0 || g.RowCostsReused > g.RowCosts {
-							t.Fatalf("%s: RowCosts = %d, RowCostsReused = %d", label, g.RowCosts, g.RowCostsReused)
+						// Only a test its floors decided computes no row cost.
+						if (g.RowCosts <= 0 && g.PairsPruned < g.PairsTested) || g.RowCostsReused < 0 || g.RowCostsReused > g.RowCosts ||
+							g.PairsPruned < 0 || g.PairsPruned > g.PairsTested {
+							t.Fatalf("%s: RowCosts = %d, RowCostsReused = %d, PairsPruned = %d of %d", label, g.RowCosts, g.RowCostsReused, g.PairsPruned, g.PairsTested)
 						}
 						if first == nil {
 							first = g
-						} else if g.RowCosts != first.RowCosts || g.RowCostsReused != first.RowCostsReused {
-							t.Fatalf("%s: cost counters %d/%d differ from workers=1's %d/%d", label,
-								g.RowCosts, g.RowCostsReused, first.RowCosts, first.RowCostsReused)
+						} else if g.RowCosts != first.RowCosts || g.RowCostsReused != first.RowCostsReused || g.PairsPruned != first.PairsPruned {
+							t.Fatalf("%s: cost counters %d/%d/%d differ from workers=1's %d/%d/%d", label,
+								g.RowCosts, g.RowCostsReused, g.PairsPruned, first.RowCosts, first.RowCostsReused, first.PairsPruned)
 						}
 						reused += g.RowCostsReused
 					}
@@ -301,9 +303,10 @@ func TestRowCostCoverBlocksWorkerIndependent(t *testing.T) {
 	}
 }
 
-// Rows whose ids collide in the memo (equal modulo its size) evict each
-// other; that may only cost a recomputation, never a wrong sum.
+// Rows whose ids are equal modulo a power of two — the rows a hashed memo
+// would collide on — must each keep their own cost in the row-cost memo.
 func TestRowCostMemoCollisions(t *testing.T) {
+	const memoSlots = 1 << 16
 	r := rand.New(rand.NewSource(5))
 	tbl := dataset.NewTable(dataset.Schema{{Name: "p", Type: dataset.Point}})
 	n := memoSlots + 400

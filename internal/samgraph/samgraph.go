@@ -53,19 +53,21 @@ type Graph struct {
 	// ran, for losses whose bound evaluators are loss.RowCosters (0
 	// otherwise): it says which path built the graph.
 	CoverTests int64
-	// RowCosts counts the per-row costs the cover pass's pair tests summed
-	// (0 off that path), and RowCostsReused how many of them had already
-	// been computed for an earlier target of the same block sharing the
-	// row.
+	// RowCosts counts the per-row costs the cover pass's exact pair tests
+	// summed (0 off that path), and RowCostsReused how many of them had
+	// already been computed for an earlier target of the same
+	// representative sharing the row.
 	RowCosts       int64
 	RowCostsReused int64
 	// Summaries counts the target vertices folded once into a raw-table
 	// state that every candidate's pair test then scored, for losses whose
 	// bound evaluators are loss.RawSummarizers (0 otherwise).
 	Summaries int64
-	// PairsPruned counts the pairs among PairsTested that were decided by
-	// the target's key alone, outside the candidate's key range, for losses
-	// whose bound evaluators are loss.KeyRangers (0 otherwise).
+	// PairsPruned counts the pairs among PairsTested that were decided
+	// without scoring the target or computing its row costs: by the
+	// target's key alone, outside the candidate's key range, for losses
+	// whose bound evaluators are loss.KeyRangers; or by the sum of its rows'
+	// cost floors in the cover pass, for losses that are loss.CostFloorers.
 	PairsPruned int64
 }
 
@@ -98,8 +100,8 @@ type BuildOptions struct {
 	// the join each candidate vertex owns its adjacency list, and the
 	// MaxCandidates budget is resolved ahead of time from the fixed
 	// candidate order instead of racing on shared counters; the cover
-	// pass deals one representative's targets out in fixed blocks, each
-	// with a memo of its own.
+	// pass deals one representative's targets out in blocks, whose tests
+	// do not depend on which worker runs them.
 	Workers int
 }
 
@@ -129,69 +131,101 @@ func buildOrder(vertices []Vertex) []int {
 	return order
 }
 
-// costMemo is one cover worker's pair test for a loss.RowCoster: it folds
-// a target's rows into the mean row cost under the current
-// representative's sample, remembering each cost so the next target of
-// the same block holding the same raw row gets it back instead of asking
-// the evaluator again. Cells of different cuboids overlap — a raw row
-// sits in one cell of every cuboid — so a representative meets most rows
-// several times.
+// costTable is a table-indexed memo of float64s — row costs, or region
+// floors — for one representative at a time, shared by every cover worker:
+// slot i holds a value computed for the representative whose ordinal is
+// stamp[i]. Moving on to the next representative (the next ordinal)
+// forgets every slot at once, and a remembered cost is the evaluator's own
+// float64, so sums are bit-identical with or without the memo. Cells of
+// different cuboids overlap — a raw row sits in one cell of every cuboid —
+// so a representative meets most rows several times.
 //
-// The memo is a direct-mapped table of fixed size keyed by (block, row):
-// binding the next block changes the tag and thereby empties it, a slot
-// collision just recomputes, and memory stays bounded whatever the table
-// size. A remembered cost is the evaluator's own float64, so sums are
-// bit-identical with or without it.
-type costMemo struct {
-	rc    loss.RowCoster
-	tag   uint64 // (block + 1) << 32: never matches a zero slot
-	slots []memoSlot
-	// Lookups and evaluator calls since creation.
-	costs, computed int64
+// Workers of one representative may race to fill a slot; they compute the
+// same value, the bits are stored before the stamp, and only the
+// compare-and-swap that publishes the stamp counts the value as computed,
+// so that count does not depend on the worker count either.
+type costTable struct {
+	stamp []atomic.Uint32 // 0: never filled
+	bits  []atomic.Uint64
 }
 
-type memoSlot struct {
-	key  uint64 // tag | row
-	cost float64
+func newCostTable(n int) costTable {
+	return costTable{stamp: make([]atomic.Uint32, n), bits: make([]atomic.Uint64, n)}
 }
 
-// memoSlots is the memo size (a power of two, 1 MiB of slots): far above
-// the few thousand distinct rows a block touches before its pairs are
-// rejected, small enough to stay cache-resident.
-const memoSlots = 1 << 16
-
-func newCostMemo() *costMemo { return &costMemo{slots: make([]memoSlot, memoSlots)} }
-
-// bind points the memo at a representative's evaluator for the block with
-// the given number, unique within one Build, forgetting every earlier
-// block's costs.
-func (m *costMemo) bind(rc loss.RowCoster, block int64) {
-	m.rc, m.tag = rc, uint64(block+1)<<32
+// get returns slot i's value if it was filled for ordinal ord; otherwise ok
+// is false and stamp is what put must replace.
+func (t *costTable) get(i int32, ord uint32) (v float64, stamp uint32, ok bool) {
+	if stamp = t.stamp[i].Load(); stamp == ord {
+		return math.Float64frombits(t.bits[i].Load()), stamp, true
+	}
+	return 0, stamp, false
 }
 
-// exceeds reports whether the mean cost of rows is above theta. Costs are
-// summed in row order, exactly as folding the rows through Add and asking
-// Loss would; because they are non-negative the sum only grows, so the
-// fold stops at the first prefix past theta·len(rows). Both comparisons are
-// phrased "not within" rather than "above", so a NaN cost rejects the pair.
+// put fills slot i with v for ordinal ord, replacing stamp, and reports
+// whether this call published it.
+func (t *costTable) put(i int32, ord, stamp uint32, v float64) bool {
+	t.bits[i].Store(math.Float64bits(v))
+	return t.stamp[i].CompareAndSwap(stamp, ord)
+}
+
+// coverCounts are one cover worker's tallies: row costs looked up by exact
+// tests, those computed (published) by it, and pairs its floors rejected.
+type coverCounts struct {
+	costs, computed, pruned int64
+}
+
+// floorMargin widens θ·|rows| before the floors' sum is compared with it,
+// by far more than the rounding error of summing them in another order
+// than the costs, so a floor rejection implies the exact test's.
+func floorMargin(rows int) float64 { return 1 + 1e-9 + float64(rows)*0x1p-50 }
+
+// exceeds reports whether the mean cost of rows under rc, the evaluator of
+// the representative with ordinal ord, is not within theta. With floors it
+// first sums the rows' region floors, lower bounds on their costs, and
+// rejects once that sum passes θ·|rows| (with margin) without computing a
+// cost. Otherwise costs are summed in row order, exactly as folding the
+// rows through Add and asking Loss would; because they are non-negative the
+// sum only grows, so the fold stops at the first prefix past θ·|rows|. Both
+// comparisons are phrased "not within" rather than "above", so a NaN cost
+// rejects the pair; a NaN floor rejects nothing.
 //
-//lint:hot exceeds runs once per candidate pair; its loop once per row probed.
-func (m *costMemo) exceeds(rows []int32, theta float64) bool {
+//lint:hot exceeds runs once per candidate pair; its loops once per row probed.
+func (p *coverPool) exceeds(c *coverCounts, rc loss.RowCoster, ord uint32, rows []int32) bool {
+	theta := p.j.theta
+	if p.floors != nil {
+		limit := theta * float64(len(rows)) * floorMargin(len(rows))
+		var sum float64
+		for _, row := range rows {
+			r := p.regionOf[row]
+			f, stamp, ok := p.floorTab.get(r, ord)
+			if !ok {
+				f = p.floors.Floor(rc, r)
+				p.floorTab.put(r, ord, stamp, f)
+			}
+			if sum += f; sum > limit {
+				c.pruned++
+				return true
+			}
+		}
+	}
 	budget := theta * float64(len(rows))
 	var sum float64
 	for i, row := range rows {
-		slot := &m.slots[uint32(row)&(memoSlots-1)]
-		if key := m.tag | uint64(uint32(row)); slot.key != key {
-			slot.key, slot.cost = key, m.rc.RowCost(row)
-			m.computed++
+		cost, stamp, ok := p.costTab.get(row, ord)
+		if !ok {
+			cost = rc.RowCost(row)
+			if p.costTab.put(row, ord, stamp, cost) {
+				c.computed++
+			}
 		}
-		sum += slot.cost
+		sum += cost
 		if !(sum <= budget) {
-			m.costs += int64(i + 1)
+			c.costs += int64(i + 1)
 			return true
 		}
 	}
-	m.costs += int64(len(rows))
+	c.costs += int64(len(rows))
 	return len(rows) > 0 && !(sum/float64(len(rows)) <= theta)
 }
 
@@ -547,15 +581,14 @@ func (g *Graph) count(ctx context.Context) {
 	st.Count("tabula_samgraph_pairs_total", "SamGraph join representation tests performed.", g.PairsTested)
 	st.Count("tabula_samgraph_cover_tests_total", "SamGraph representation tests run by the cover pass, which tests each cell only against the representatives chosen before it.", g.CoverTests)
 	st.Count("tabula_samgraph_summaries_total", "Target cells the SamGraph join folded once into a raw summary that every candidate's pair test scored.", g.Summaries)
-	st.Count("tabula_samgraph_pairs_pruned_total", "SamGraph join representation tests decided by the target's key alone, outside the candidate's key range.", g.PairsPruned)
-	const costsHelp = "Row costs summed by SamGraph pair tests: computed by the loss evaluator, or reused from an earlier target of the same block."
+	st.Count("tabula_samgraph_pairs_pruned_total", "SamGraph representation tests decided without row costs: by the target's key alone, outside the candidate's key range, or by the target rows' cost floors.", g.PairsPruned)
+	const costsHelp = "Row costs summed by SamGraph's exact pair tests: computed by the loss evaluator, or reused from an earlier target of the same representative."
 	st.Count("tabula_samgraph_row_costs_total", costsHelp, g.RowCosts-g.RowCostsReused, obs.Label{Name: "outcome", Value: "computed"})
 	st.Count("tabula_samgraph_row_costs_total", costsHelp, g.RowCostsReused, obs.Label{Name: "outcome", Value: "reused"})
 }
 
 // coverBlock is how many of one representative's targets the cover pass
-// deals to a worker at a time. Each block starts with an empty memo, so
-// which worker takes it changes no counter.
+// deals to a worker at a time.
 const coverBlock = 64
 
 // coverLookahead is how many of the cells after the current representative
@@ -636,8 +669,21 @@ func (j *join) cover(ctx context.Context, g *Graph, workers, lookahead int, samp
 		}
 		return visit[a] < visit[b]
 	})
-	p := &coverPool{j: j, ctx: ctx, sample: sample, memos: make([]*costMemo, workers), spec: make([]specCell, n)}
+	p := &coverPool{j: j, ctx: ctx, sample: sample, counts: make([]coverCounts, workers), spec: make([]specCell, n),
+		costTab: newCostTable(j.tbl.NumRows())}
 	p.wake = sync.NewCond(&p.mu)
+	if cf, ok := j.f.(loss.CostFloorer); ok {
+		floors, err := cf.CostFloors(j.tbl)
+		if err != nil {
+			return fmt.Errorf("samgraph: cost floors: %w", err)
+		}
+		if floors != nil {
+			var regions int
+			p.floors = floors
+			p.regionOf, regions = floors.Regions()
+			p.floorTab = newCostTable(regions)
+		}
+	}
 	err := j.walk(ctx, g, p, visit, lookahead)
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
@@ -647,11 +693,10 @@ func (j *join) cover(ctx context.Context, g *Graph, workers, lookahead int, samp
 	}
 	g.CoverTests = g.PairsTested
 	var computed int64
-	for _, m := range p.memos {
-		if m != nil {
-			g.RowCosts += m.costs
-			computed += m.computed
-		}
+	for _, c := range p.counts {
+		g.RowCosts += c.costs
+		g.PairsPruned += c.pruned
+		computed += c.computed
 	}
 	g.RowCostsReused = g.RowCosts - computed
 	return nil
@@ -661,7 +706,7 @@ func (j *join) cover(ctx context.Context, g *Graph, workers, lookahead int, samp
 // and binds each representative, and runs its test blocks with the pool,
 // whose helpers have all exited when it returns.
 func (j *join) walk(ctx context.Context, g *Graph, p *coverPool, visit []int, lookahead int) error {
-	for w := 1; w < len(p.memos); w++ {
+	for w := 1; w < len(p.counts); w++ {
 		p.wg.Add(1)
 		go p.help(w)
 	}
@@ -675,7 +720,7 @@ func (j *join) walk(ctx context.Context, g *Graph, p *coverPool, visit []int, lo
 	var (
 		targets []int32
 		passed  []bool
-		blocks  int64 // blocks bound so far: the next memo tag
+		ord     uint32 // the representatives bound so far: the memo stamp
 	)
 	for i, v := range visit {
 		if covered[v] {
@@ -712,11 +757,10 @@ func (j *join) walk(ctx context.Context, g *Graph, p *coverPool, visit []int, lo
 			passed = make([]bool, len(targets))
 		}
 		passed = passed[:len(targets)]
-		nb := (len(targets) + coverBlock - 1) / coverBlock
-		if err := p.test(rc, targets, passed, blocks, nb); err != nil {
+		ord++
+		if err := p.test(rc, targets, passed, ord); err != nil {
 			return err
 		}
-		blocks += int64(nb)
 		g.PairsTested += int64(len(targets))
 		p.mu.Lock()
 		for k, u := range targets {
@@ -760,19 +804,26 @@ type coverPool struct {
 	j      *join
 	ctx    context.Context
 	sample func(v int) ([]int32, error)
-	memos  []*costMemo // per goroutine, the walker's at 0
+	counts []coverCounts // per goroutine, the walker's at 0
 	wg     sync.WaitGroup
+	// costTab memoizes the current representative's row costs by table
+	// row. With floors (nil if the loss has none), floorTab memoizes its
+	// floors by region, regionOf being each table row's region.
+	costTab  costTable
+	floors   loss.CostFloors
+	regionOf []int32
+	floorTab costTable
 
 	mu sync.Mutex
 	// wake is broadcast when blocks are posted or finished, a speculative
 	// sample finishes, or the pool closes.
 	wake *sync.Cond
 	// The current representative's test blocks: block b covers
-	// targets[b·coverBlock:] and is bound under memo tag base+b.
+	// targets[b·coverBlock:]; ord is the representative's memo stamp.
 	rc       loss.RowCoster
 	targets  []int32
 	passed   []bool
-	base     int64
+	ord      uint32
 	next, nb int // the next block to deal, and the block count
 	running  int // blocks dealt and not finished
 	blockErr error
@@ -793,7 +844,7 @@ func (p *coverPool) speculate(rest []int, covered []bool, lookahead int) {
 		}
 	}
 	p.queue = p.queue[:0]
-	if len(p.memos) == 1 {
+	if len(p.counts) == 1 {
 		return // no helper would take them
 	}
 	window := 0
@@ -835,13 +886,15 @@ func (p *coverPool) take(v int) ([]int32, error) {
 	return p.sample(v)
 }
 
-// test runs the nb test blocks of a representative whose evaluator is rc
-// on the walker and every idle helper, and returns once all have finished:
-// passed[k] reports whether rc's sample represents targets[k].
-func (p *coverPool) test(rc loss.RowCoster, targets []int32, passed []bool, base int64, nb int) error {
+// test runs the test blocks of the representative with memo stamp ord,
+// whose evaluator is rc, on the walker and every idle helper, and returns
+// once all have finished: passed[k] reports whether rc's sample represents
+// targets[k].
+func (p *coverPool) test(rc loss.RowCoster, targets []int32, passed []bool, ord uint32) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.rc, p.targets, p.passed, p.base, p.next, p.nb, p.blockErr = rc, targets, passed, base, 0, nb, nil
+	p.rc, p.targets, p.passed, p.ord, p.next, p.blockErr = rc, targets, passed, ord, 0, nil
+	p.nb = (len(targets) + coverBlock - 1) / coverBlock
 	p.wake.Broadcast()
 	for {
 		if p.next < p.nb && p.blockErr == nil {
@@ -863,9 +916,9 @@ func (p *coverPool) runBlock(w int) {
 	b := p.next
 	p.next++
 	p.running++
-	rc, targets, passed, tag := p.rc, p.targets, p.passed, p.base+int64(b)
+	rc, targets, passed, ord := p.rc, p.targets, p.passed, p.ord
 	p.mu.Unlock()
-	err := p.block(w, rc, targets, passed, tag, b)
+	err := p.block(w, rc, targets, passed, ord, b)
 	p.mu.Lock()
 	p.running--
 	if err != nil && p.blockErr == nil {
@@ -876,19 +929,18 @@ func (p *coverPool) runBlock(w int) {
 	}
 }
 
-// block tests block b of targets against rc on goroutine w's memo.
-func (p *coverPool) block(w int, rc loss.RowCoster, targets []int32, passed []bool, tag int64, b int) error {
-	m := p.memos[w]
-	if m == nil {
-		m = newCostMemo()
-		p.memos[w] = m
-	}
-	m.bind(rc, tag)
+// block tests block b of targets against rc on goroutine w.
+func (p *coverPool) block(w int, rc loss.RowCoster, targets []int32, passed []bool, ord uint32, b int) error {
+	var c coverCounts // added to p.counts[w] once: the tallies share cache lines
+	defer func() {
+		t := &p.counts[w]
+		t.costs, t.computed, t.pruned = t.costs+c.costs, t.computed+c.computed, t.pruned+c.pruned
+	}()
 	for k := b * coverBlock; k < min((b+1)*coverBlock, len(targets)); k++ {
 		if err := p.ctx.Err(); err != nil {
 			return err
 		}
-		passed[k] = !m.exceeds(p.j.vertices[targets[k]].Rows, p.j.theta)
+		passed[k] = !p.exceeds(&c, rc, ord, p.j.vertices[targets[k]].Rows)
 	}
 	return nil
 }

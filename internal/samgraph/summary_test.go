@@ -332,14 +332,19 @@ func TestNaNLossIsNeverAnEdge(t *testing.T) {
 // falls among the rows, including last.
 func TestCostMemoRejectsNaN(t *testing.T) {
 	vals := []float64{1, 2, math.NaN(), 3}
-	m := newCostMemo()
-	m.bind(nanCoster{nanEval{vals: vals}}, 0)
+	rc := nanCoster{nanEval{vals: vals}}
+	p := &coverPool{j: &join{theta: 1e9}, costTab: newCostTable(len(vals))}
+	var c coverCounts
 	for _, rows := range [][]int32{{2}, {0, 2, 1}, {0, 1, 3, 2}} {
-		if !m.exceeds(rows, 1e9) {
+		if !p.exceeds(&c, rc, 1, rows) {
 			t.Errorf("rows %v hold a NaN cost, yet the pair was accepted", rows)
 		}
 	}
-	if m.exceeds([]int32{0, 1, 3}, 2) || !m.exceeds([]int32{0, 1, 3}, 1.9) {
+	exceeds := func(theta float64) bool {
+		p.j.theta = theta
+		return p.exceeds(&c, rc, 1, []int32{0, 1, 3})
+	}
+	if exceeds(2) || !exceeds(1.9) {
 		t.Error("mean cost of rows 0, 1, 3 is 2")
 	}
 }

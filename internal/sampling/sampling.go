@@ -6,10 +6,11 @@
 package sampling
 
 import (
-	"container/heap"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"github.com/tabula-db/tabula/internal/dataset"
 	"github.com/tabula-db/tabula/internal/loss"
@@ -60,6 +61,17 @@ var ErrBudgetExhausted = fmt.Errorf("sampling: sample budget exhausted before re
 // loss of the sample is <= theta (or raw is empty, in which case the
 // sample is empty and the loss is 0 by convention).
 func Greedy(f loss.Func, raw dataset.View, theta float64, opts GreedyOptions) ([]int32, error) {
+	return GreedyContext(context.Background(), f, raw, theta, opts)
+}
+
+// cancelCheckProbes is how many LossWith probes the sampler makes between
+// ctx.Err() polls within one round.
+const cancelCheckProbes = 4096
+
+// GreedyContext is Greedy, cancellable: it polls ctx once per pick and
+// every cancelCheckProbes candidate evaluations, and returns ctx.Err()
+// (with no sample) once ctx is done.
+func GreedyContext(ctx context.Context, f loss.Func, raw dataset.View, theta float64, opts GreedyOptions) ([]int32, error) {
 	if theta < 0 {
 		return nil, fmt.Errorf("sampling: negative loss threshold %v", theta)
 	}
@@ -67,43 +79,75 @@ func Greedy(f loss.Func, raw dataset.View, theta float64, opts GreedyOptions) ([
 	if n == 0 {
 		return nil, nil
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	ev, err := newEvaluator(f, raw)
 	if err != nil {
 		return nil, err
 	}
-	inSample := make([]bool, n)
-	var picked []int32
-	commit := func(i int) {
-		ev.Add(i)
-		inSample[i] = true
-		picked = append(picked, raw.RowID(i))
-	}
+	s := &greedyRun{ctx: ctx, ev: ev, raw: raw, inSample: make([]bool, n), theta: theta}
 	if opts.Lazy {
-		err = greedyLazy(ev, inSample, theta, opts, commit)
+		err = s.lazy(opts)
 	} else {
-		err = greedyNaive(ev, inSample, theta, opts.MaxSize, commit)
+		err = s.naive(opts.MaxSize)
 	}
-	if err != nil {
-		return picked, err
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return nil, ctxErr
 	}
-	return picked, nil
+	return s.picked, err
 }
 
-// greedyNaive is the paper's Algorithm 1 verbatim: every remaining tuple
-// is evaluated each round. O(k·N) evaluator probes for a k-tuple sample.
-func greedyNaive(ev loss.GreedyEvaluator, inSample []bool, theta float64, maxSize int, commit func(int)) error {
-	n := len(inSample)
+// greedyRun is one run of Algorithm 1.
+type greedyRun struct {
+	ctx      context.Context
+	ev       loss.GreedyEvaluator
+	raw      dataset.View
+	inSample []bool
+	theta    float64
+	picked   []int32 // table row ids
+	probes   int     // LossWith calls since the run began
+}
+
+// commit adds tuple i to the sample and returns ctx's error: the poll
+// once per pick.
+func (s *greedyRun) commit(i int) error {
+	s.ev.Add(i)
+	s.inSample[i] = true
+	s.picked = append(s.picked, s.raw.RowID(i))
+	return s.ctx.Err()
+}
+
+// lossWith is ev.LossWith, polling ctx every cancelCheckProbes calls.
+func (s *greedyRun) lossWith(i int) (float64, error) {
+	s.probes++
+	if s.probes%cancelCheckProbes == 0 {
+		if err := s.ctx.Err(); err != nil {
+			return 0, err
+		}
+	}
+	return s.ev.LossWith(i), nil
+}
+
+// naive is the paper's Algorithm 1 verbatim: every remaining tuple is
+// evaluated each round. O(k·N) evaluator probes for a k-tuple sample.
+func (s *greedyRun) naive(maxSize int) error {
+	n := len(s.inSample)
 	size := 0
-	for ev.CurrentLoss() > theta {
+	for s.ev.CurrentLoss() > s.theta {
 		best, bestLoss := -1, math.Inf(1)
 		for i := 0; i < n; i++ {
-			if inSample[i] {
+			if s.inSample[i] {
 				continue
+			}
+			l, err := s.lossWith(i)
+			if err != nil {
+				return err
 			}
 			// "<= " so a candidate is still chosen when every remaining
 			// loss is +Inf (e.g. a regression loss that stays undefined
 			// until the sample has two tuples with distinct x).
-			if l := ev.LossWith(i); l < bestLoss || best < 0 {
+			if l < bestLoss || best < 0 {
 				best, bestLoss = i, l
 			}
 		}
@@ -111,52 +155,100 @@ func greedyNaive(ev loss.GreedyEvaluator, inSample []bool, theta float64, maxSiz
 			// Every tuple is already in the sample yet the loss is still
 			// above theta: the loss function is inconsistent (loss(T,T)
 			// should be 0 <= theta for any useful definition).
-			return fmt.Errorf("sampling: loss %v above threshold %v with the full population sampled", ev.CurrentLoss(), theta)
+			return fmt.Errorf("sampling: loss %v above threshold %v with the full population sampled", s.ev.CurrentLoss(), s.theta)
 		}
-		commit(best)
+		if err := s.commit(best); err != nil {
+			return err
+		}
 		size++
-		if maxSize > 0 && size >= maxSize && ev.CurrentLoss() > theta {
+		if maxSize > 0 && size >= maxSize && s.ev.CurrentLoss() > s.theta {
 			return ErrBudgetExhausted
 		}
 	}
 	return nil
 }
 
-// gainHeap is a max-heap of stale loss-reduction bounds.
+// gainHeap is a max-heap of stale loss-reduction bounds. Its sift rules are
+// container/heap's, entry for entry, so the pops — and with them the
+// sampler's picks — follow the same order as with that package.
 type gainHeap struct {
 	idx  []int
 	gain []float64
 }
 
-func (h *gainHeap) Len() int           { return len(h.idx) }
-func (h *gainHeap) Less(i, j int) bool { return h.gain[i] > h.gain[j] }
-func (h *gainHeap) Swap(i, j int) {
+func (h *gainHeap) less(i, j int) bool { return h.gain[i] > h.gain[j] }
+
+func (h *gainHeap) swap(i, j int) {
 	h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
 	h.gain[i], h.gain[j] = h.gain[j], h.gain[i]
 }
-func (h *gainHeap) Push(x any) {
-	p := x.([2]float64)
-	h.idx = append(h.idx, int(p[0]))
-	h.gain = append(h.gain, p[1])
-}
-func (h *gainHeap) Pop() any {
+
+// init is heap.Init.
+func (h *gainHeap) init() {
 	n := len(h.idx)
-	p := [2]float64{float64(h.idx[n-1]), h.gain[n-1]}
-	h.idx = h.idx[:n-1]
-	h.gain = h.gain[:n-1]
-	return p
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
 }
 
-// greedyLazy is Algorithm 1 with POIsam's lazy-forward strategy. The heap
-// holds stale *marginal gains* (current loss minus the loss after adding
-// the candidate). For the submodular average-min-distance losses a
-// candidate's marginal gain only shrinks as the sample grows, so a stale
-// value is a valid upper bound: when the refreshed head still dominates
-// the next stale bound it is the true argmax and is committed without
-// touching the other candidates. For non-submodular losses the strategy is
-// a heuristic; the threshold guarantee is unaffected because the loop
-// condition re-checks the true current loss after every commit.
-func greedyLazy(ev loss.GreedyEvaluator, inSample []bool, theta float64, opts GreedyOptions, commit func(int)) error {
+// push is heap.Push.
+func (h *gainHeap) push(i int, gain float64) {
+	h.idx = append(h.idx, i)
+	h.gain = append(h.gain, gain)
+	h.up(len(h.idx) - 1)
+}
+
+// pop is heap.Pop.
+func (h *gainHeap) pop() int {
+	n := len(h.idx) - 1
+	h.swap(0, n)
+	h.down(0, n)
+	i := h.idx[n]
+	h.idx, h.gain = h.idx[:n], h.gain[:n]
+	return i
+}
+
+func (h *gainHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h *gainHeap) down(i0, n int) {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // = 2*i + 2  // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+}
+
+// lazy is Algorithm 1 with POIsam's lazy-forward strategy. The heap holds
+// stale *marginal gains* (current loss minus the loss after adding the
+// candidate). For the submodular average-min-distance losses a candidate's
+// marginal gain only shrinks as the sample grows, so a stale value is a
+// valid upper bound: when the refreshed head still dominates the next stale
+// bound it is the true argmax and is committed without touching the other
+// candidates. For non-submodular losses the strategy is a heuristic; the
+// threshold guarantee is unaffected because the loop condition re-checks
+// the true current loss after every commit.
+func (s *greedyRun) lazy(opts GreedyOptions) error {
+	ev, inSample, theta := s.ev, s.inSample, s.theta
 	n := len(inSample)
 	maxSize := opts.MaxSize
 	cur := ev.CurrentLoss()
@@ -197,14 +289,9 @@ func greedyLazy(ev loss.GreedyEvaluator, inSample []bool, theta float64, opts Gr
 	// naive rounds over the first batch until the loss becomes finite.
 	firstBatch := seedBatch()
 	for math.IsInf(cur, 1) {
-		best, bestLoss := -1, math.Inf(1)
-		for _, i := range firstBatch {
-			if inSample[i] {
-				continue
-			}
-			if l := ev.LossWith(i); l < bestLoss || best < 0 {
-				best, bestLoss = i, l
-			}
+		best, err := s.bestOf(firstBatch, size == 0)
+		if err != nil {
+			return err
 		}
 		if best < 0 {
 			if more := seedBatch(); more != nil {
@@ -213,7 +300,9 @@ func greedyLazy(ev loss.GreedyEvaluator, inSample []bool, theta float64, opts Gr
 			}
 			return fmt.Errorf("sampling: loss %v above threshold %v with the full population sampled", cur, theta)
 		}
-		commit(best)
+		if err := s.commit(best); err != nil {
+			return err
+		}
 		cur = ev.CurrentLoss()
 		size++
 		if cur <= theta {
@@ -229,12 +318,16 @@ func greedyLazy(ev loss.GreedyEvaluator, inSample []bool, theta float64, opts Gr
 		if inSample[i] {
 			continue
 		}
+		l, err := s.lossWith(i)
+		if err != nil {
+			return err
+		}
 		h.idx = append(h.idx, i)
-		h.gain = append(h.gain, cur-ev.LossWith(i))
+		h.gain = append(h.gain, cur-l)
 	}
-	heap.Init(h)
+	h.init()
 	for cur > theta {
-		if h.Len() == 0 {
+		if len(h.idx) == 0 {
 			batch := seedBatch()
 			if batch == nil {
 				return fmt.Errorf("sampling: loss %v above threshold %v with the full population sampled", cur, theta)
@@ -243,23 +336,32 @@ func greedyLazy(ev loss.GreedyEvaluator, inSample []bool, theta float64, opts Gr
 				if inSample[i] {
 					continue
 				}
-				heap.Push(h, [2]float64{float64(i), cur - ev.LossWith(i)})
+				l, err := s.lossWith(i)
+				if err != nil {
+					return err
+				}
+				h.push(i, cur-l)
 			}
 			continue
 		}
-		top := heap.Pop(h).([2]float64)
-		i := int(top[0])
+		i := h.pop()
 		if inSample[i] {
 			continue
 		}
-		fresh := cur - ev.LossWith(i)
-		if h.Len() > 0 && fresh < h.gain[0] {
+		l, err := s.lossWith(i)
+		if err != nil {
+			return err
+		}
+		fresh := cur - l
+		if len(h.idx) > 0 && fresh < h.gain[0] {
 			// The head's bound was stale and another candidate may now be
 			// better; push back with the refreshed bound.
-			heap.Push(h, [2]float64{float64(i), fresh})
+			h.push(i, fresh)
 			continue
 		}
-		commit(i)
+		if err := s.commit(i); err != nil {
+			return err
+		}
 		cur = ev.CurrentLoss()
 		size++
 		if maxSize > 0 && size >= maxSize && cur > theta {
@@ -267,6 +369,72 @@ func greedyLazy(ev loss.GreedyEvaluator, inSample []bool, theta float64, opts Gr
 		}
 	}
 	return nil
+}
+
+// bestOf returns the candidate of batch not yet in the sample with the
+// smallest LossWith, the earliest in batch among ties — except that a
+// first candidate whose loss is NaN is returned as is — or -1 when every
+// candidate is in the sample. That is the scan "l < best, or no best yet"
+// in batch order. When bound is set and the evaluator bounds the batch
+// (loss.LowerBounder), it finds the same candidate by branch and bound:
+// candidates are evaluated in ascending bound order until a bound exceeds
+// the best loss so far.
+func (s *greedyRun) bestOf(batch []int, bound bool) (int, error) {
+	if lb, ok := s.ev.(loss.LowerBounder); ok && bound && len(batch) > 1 {
+		lo := make([]float64, len(batch))
+		if lb.LossWithBounds(batch, lo) {
+			return s.branchAndBound(batch, lo)
+		}
+	}
+	best, bestLoss := -1, math.Inf(1)
+	for _, i := range batch {
+		if s.inSample[i] {
+			continue
+		}
+		l, err := s.lossWith(i)
+		if err != nil {
+			return -1, err
+		}
+		if l < bestLoss || best < 0 {
+			best, bestLoss = i, l
+		}
+	}
+	return best, nil
+}
+
+// branchAndBound is bestOf over a batch none of whose candidates is in the
+// sample, given lower bounds lo on their losses. The first candidate is
+// evaluated first: if its loss is NaN the scan would keep it. Any other
+// candidate is skipped only when its bound, and hence its loss, exceeds the
+// best loss found, so it could neither win nor tie; a NaN bound bounds
+// nothing and is evaluated.
+func (s *greedyRun) branchAndBound(batch []int, lo []float64) (int, error) {
+	bestLoss, err := s.lossWith(batch[0])
+	if err != nil || math.IsNaN(bestLoss) {
+		return batch[0], err
+	}
+	bestPos := 0
+	order := make([]int32, len(batch)-1)
+	for k := range order {
+		order[k] = int32(k + 1)
+		if math.IsNaN(lo[k+1]) {
+			lo[k+1] = math.Inf(-1)
+		}
+	}
+	sort.Slice(order, func(a, b int) bool { return lo[order[a]] < lo[order[b]] })
+	for _, k := range order {
+		if lo[k] > bestLoss {
+			break
+		}
+		l, err := s.lossWith(batch[k])
+		if err != nil {
+			return -1, err
+		}
+		if l < bestLoss || (l == bestLoss && int(k) < bestPos) {
+			bestLoss, bestPos = l, int(k)
+		}
+	}
+	return batch[bestPos], nil
 }
 
 // newEvaluator returns the loss's incremental evaluator, or a generic
