@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNearestDistance$$' -fuzztime $(FUZZTIME) ./internal/geo
 	$(GO) test -run '^$$' -fuzz '^FuzzCoverSpeculative$$' -fuzztime $(FUZZTIME) ./internal/samgraph
 	$(GO) test -run '^$$' -fuzz '^FuzzCRC32Combine$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzStitchStored$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQueryBody$$' -fuzztime $(FUZZTIME) ./internal/server
 
 build:

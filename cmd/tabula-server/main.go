@@ -36,17 +36,16 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		taxiRows   = flag.Int("taxi-rows", 100000, "rows of synthetic NYCtaxi data to register as 'nyctaxi' (0 to skip)")
-		seed       = flag.Int64("seed", 42, "generator seed")
-		initSQL    = flag.String("init", "", "semicolon-separated statements to execute at startup")
-		cubeFile   = flag.String("load-cube", "", "load a persisted cube file and register it as 'cube'")
-		drainTime  = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
-		workers    = flag.Int("workers", 0, "worker budget for every cube-initialization stage (0 = GOMAXPROCS)")
-		cacheBytes = flag.Int64("cache-bytes", server.DefaultCacheBytes, "response-cache byte budget (0 disables caching)")
-		gzipOn     = flag.Bool("gzip", true, "serve cached gzip response variants to clients that accept them")
-		metricsOn  = flag.Bool("metrics", true, "record metrics and expose them at GET /v1/metrics")
-		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+		addr      = flag.String("addr", ":8080", "listen address")
+		taxiRows  = flag.Int("taxi-rows", 100000, "rows of synthetic NYCtaxi data to register as 'nyctaxi' (0 to skip)")
+		seed      = flag.Int64("seed", 42, "generator seed")
+		initSQL   = flag.String("init", "", "semicolon-separated statements to execute at startup")
+		cubeFile  = flag.String("load-cube", "", "load a persisted cube file and register it as 'cube'")
+		drainTime = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
+		workers   = flag.Int("workers", 0, "worker budget for every cube-initialization stage (0 = GOMAXPROCS)")
+		gzipOn    = flag.Bool("gzip", true, "send gzip bodies, stitched from each sample's precompressed bytes, to clients that accept them")
+		metricsOn = flag.Bool("metrics", true, "record metrics and expose them at GET /v1/metrics")
+		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
 	flag.Parse()
 
@@ -93,17 +92,10 @@ func main() {
 		}
 	}
 
-	srv := &http.Server{
-		Addr: *addr,
-		Handler: server.New(db,
-			server.WithCacheBytes(*cacheBytes),
-			server.WithGzip(*gzipOn),
-			server.WithMetrics(registry),
-			server.WithPprof(*pprofOn)),
-		// Cancel request contexts when the serve loop exits, so shutdown
-		// aborts in-flight scans that exceed the drain window.
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
+	srv := newHTTPServer(ctx, *addr, server.New(db,
+		server.WithGzip(*gzipOn),
+		server.WithMetrics(registry),
+		server.WithPprof(*pprofOn)))
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("tabula middleware listening on %s", *addr)
@@ -121,5 +113,32 @@ func main() {
 		}
 		<-errc // ListenAndServe returns http.ErrServerClosed
 		log.Print("tabula-server: stopped cleanly")
+	}
+}
+
+// Connection timeouts of the listening server. A client must send its
+// request headers within readHeaderTimeout and its whole request within
+// readTimeout (the largest body, a 16 MiB append, takes well under that
+// on any working link), and an idle keep-alive connection is closed
+// after idleTimeout, so slow or abandoned clients cannot pin
+// connections forever. There is no write timeout: a POST /v1/exec that
+// builds a cube can legitimately run for minutes before it answers.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the listening server for handler. Request
+// contexts derive from ctx, so cancelling it when the serve loop exits
+// aborts in-flight scans that exceed the drain window.
+func newHTTPServer(ctx context.Context, addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
 	}
 }

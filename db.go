@@ -93,7 +93,7 @@ type DB struct {
 // across the public surface (see doc.go "Configuration"): tabula.Open
 // takes tabula.Option values (WithMetric, WithWorkers, WithMetrics,
 // WithBuildParams) and server.New takes server.Option values
-// (WithCacheBytes, WithGzip, WithMetrics, WithPprof, WithLogger).
+// (WithGzip, WithMetrics, WithPprof, WithLogger).
 type Option func(*DB)
 
 // WithMetric sets the distance metric used by heatmap_loss and the DSL's

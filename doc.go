@@ -58,7 +58,7 @@
 //	)
 //
 // and the HTTP layer (internal/server) mirrors it with server.Option
-// values (WithCacheBytes, WithGzip, WithMetrics, WithPprof, WithLogger).
+// values (WithGzip, WithMetrics, WithPprof, WithLogger).
 // Zero options always means a working default: Open() serves queries,
 // server.New(db) serves HTTP.
 //
@@ -68,8 +68,8 @@
 // option of the same name) arms a stdlib-only metrics surface: query
 // counters by request kind, per-cube append latency and shards-touched
 // histograms, snapshot-generation gauges, build-stage wall times, HTTP
-// per-route request/latency/status metrics and response-cache
-// effectiveness counters. The server exposes everything in Prometheus
+// per-route request/latency/status metrics and first-touch wire-fill
+// counts and times. The server exposes everything in Prometheus
 // text format at GET /v1/metrics. Instruments are single atomic
 // operations on the hot path — a query allocates nothing extra with
 // metrics on — and a nil registry is a true no-op: every instrument

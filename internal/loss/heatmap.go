@@ -326,6 +326,9 @@ type heatmapGreedy struct {
 	idx    *pointIndex
 	// radScale converts metric distances to coordinate search radii.
 	radScale float64
+	// boxes are the first pick's coarse boxes, binned on the first
+	// LossWithBounds call, so a caller may bound the candidates in chunks.
+	boxes []coarseBox
 }
 
 // pointIndex is a uniform grid over point INDEXES (geo.GridIndex stores
@@ -579,13 +582,18 @@ type coarseBox struct {
 // box is at least as far from a candidate as the box is, so Σ count·(the
 // candidate's distance to the box) / n bounds the candidate's first-round
 // LossWith. The bound is scaled down by more than the rounding error of
-// either sum, so it also holds for the float LossWith returns.
+// either sum, so it also holds for the float LossWith returns. The boxes
+// are binned once per evaluator, however many calls the candidates are
+// bounded in.
 func (g *heatmapGreedy) LossWithBounds(cands []int, lo []float64) bool {
 	n := len(g.pts)
 	if g.samN != 0 || n < boundMinPoints || g.metric == geo.Haversine {
 		return false
 	}
-	boxes := g.coarseBoxes()
+	if g.boxes == nil {
+		g.boxes = g.coarseBoxes()
+	}
+	boxes := g.boxes
 	scale := (1 - 1e-9 - float64(n)*0x1p-50) / float64(n)
 	for k, i := range cands {
 		c := g.pts[i]

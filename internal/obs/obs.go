@@ -5,14 +5,13 @@
 // registered once, up front (per route, per cube), and the per-event
 // operations — Counter.Inc, Counter.Add, Histogram.Observe — are single
 // atomic ops on pre-allocated state: no locks, no maps, no allocation.
-// Sampled metrics (cache residency, snapshot generations) register a
+// Sampled metrics (resident wire bytes, snapshot generations) register a
 // read callback instead and cost nothing until a scrape reads them.
 //
 // Disabled mode is a true no-op: every constructor on a nil *Registry
 // returns a nil instrument, and every method on a nil instrument
-// returns immediately — the same always-off convention respcache uses
-// for its nil always-miss cache, so callers wire metrics unconditionally
-// and pay nothing when observability is off.
+// returns immediately, so callers wire metrics unconditionally and pay
+// nothing when observability is off.
 //
 // Exposition is the Prometheus text format (version 0.0.4): families
 // sorted by name, each with one # HELP/# TYPE header and its series in

@@ -72,9 +72,9 @@ func TestGreedyContextCancelledAtPick(t *testing.T) {
 	}
 }
 
-// Within a round the sampler polls the context every cancelCheckProbes
-// candidates: a cancel during the first round's scan or the heap seed is
-// seen before that many more probes.
+// Within a round the sampler polls the context every cancelCheckRows rows
+// of probes: a cancel during the first round's scan or the heap seed is
+// seen before that many more rows are scanned.
 func TestGreedyContextCancelledMidRound(t *testing.T) {
 	const n = 5000
 	full := dataset.FullView(buildTable(n, 51))
@@ -101,8 +101,8 @@ func TestGreedyContextCancelledMidRound(t *testing.T) {
 		if h.adds != at.adds {
 			t.Fatalf("%s: %d picks, want %d", at.name, h.adds, at.adds)
 		}
-		if extra := h.probes - at.probe; extra >= cancelCheckProbes {
-			t.Fatalf("%s: %d probes after the cancel, want fewer than %d", at.name, extra, cancelCheckProbes)
+		if extra := h.probes - at.probe; extra*n >= cancelCheckRows {
+			t.Fatalf("%s: %d probes of %d rows after the cancel, want fewer than %d rows", at.name, extra, n, cancelCheckRows)
 		}
 	}
 }
@@ -115,5 +115,91 @@ func TestGreedyContextCancelledBefore(t *testing.T) {
 	h := &hookLoss{Heatmap: loss.NewHeatmap("pickup", geo.Euclidean)}
 	if rows, err := GreedyContext(ctx, h, dataset.FullView(buildTable(50, 52)), 0.01, DefaultGreedyOptions()); err != context.Canceled || rows != nil || h.probes != 0 {
 		t.Fatalf("got %d rows, %v after %d probes, want context.Canceled before any", len(rows), err, h.probes)
+	}
+}
+
+// workLoss is a heatmap whose greedy evaluator keeps its lower bounds and
+// counts its work in rows, as the sampler charges it: a whole scan per
+// LossWith probe and per bounded candidate. It cancels once the count
+// reaches at, and records the count at the cancel.
+type workLoss struct {
+	*loss.Heatmap
+	at                    int
+	cancel                func()
+	rows, cancelled       int
+	probes, bounded, adds int
+}
+
+func (w *workLoss) NewGreedy(raw dataset.View) (loss.GreedyEvaluator, error) {
+	ev, err := w.Heatmap.NewGreedy(raw)
+	if err != nil {
+		return nil, err
+	}
+	return &workEval{GreedyEvaluator: ev, lb: ev.(loss.LowerBounder), w: w, n: raw.Len()}, nil
+}
+
+type workEval struct {
+	loss.GreedyEvaluator
+	lb loss.LowerBounder
+	w  *workLoss
+	n  int
+}
+
+// work counts k candidates' scans, cancelling when the count reaches at.
+func (e *workEval) work(k int) {
+	e.w.rows += k * e.n
+	if e.w.cancelled < 0 && e.w.rows >= e.w.at {
+		e.w.cancel()
+		e.w.cancelled = e.w.rows
+	}
+}
+
+func (e *workEval) LossWith(i int) float64 {
+	e.w.probes++
+	e.work(1)
+	return e.GreedyEvaluator.LossWith(i)
+}
+
+func (e *workEval) Add(i int) {
+	e.w.adds++
+	e.GreedyEvaluator.Add(i)
+}
+
+func (e *workEval) LossWithBounds(cands []int, lo []float64) bool {
+	e.w.bounded += len(cands)
+	e.work(len(cands))
+	return e.lb.LossWithBounds(cands, lo)
+}
+
+// A cancel during a large cell's first pick lands within one stride of
+// work, whether it comes while the candidates are being bounded or while
+// branch and bound probes them: at most cancelCheckRows more rows are
+// scanned, and the sampler returns context.Canceled with no pick made.
+func TestGreedyCancelledWithinFirstPick(t *testing.T) {
+	const n = 20000
+	full := dataset.FullView(buildTable(n, 53))
+	for _, at := range []struct {
+		name string
+		rows int // work before the cancel
+	}{
+		{"bounding", 3 * cancelCheckRows},
+		{"branch and bound", n*n + 10*n}, // every candidate bounded, then ten probes
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		w := &workLoss{Heatmap: loss.NewHeatmap("pickup", geo.Euclidean), at: at.rows, cancel: cancel, cancelled: -1}
+		rows, err := GreedyContext(ctx, w, full, 1e-6, DefaultGreedyOptions())
+		cancel()
+		if err != context.Canceled || rows != nil {
+			t.Fatalf("%s: got %d rows and %v, want context.Canceled", at.name, len(rows), err)
+		}
+		if w.cancelled < 0 || w.adds != 0 {
+			t.Fatalf("%s: %d picks made in %d rows of work, want the cancel at %d to land in the first", at.name, w.adds, w.rows, at.rows)
+		}
+		if at.rows < n*n && w.probes != 0 || at.rows >= n*n && w.bounded != n {
+			t.Fatalf("%s: cancelled after %d probes and %d bounded candidates", at.name, w.probes, w.bounded)
+		}
+		if extra := w.rows - w.cancelled; extra > cancelCheckRows {
+			t.Fatalf("%s: %d rows of work after the cancel, want at most %d", at.name, extra, cancelCheckRows)
+		}
 	}
 }

@@ -64,13 +64,16 @@ func Greedy(f loss.Func, raw dataset.View, theta float64, opts GreedyOptions) ([
 	return GreedyContext(context.Background(), f, raw, theta, opts)
 }
 
-// cancelCheckProbes is how many LossWith probes the sampler makes between
-// ctx.Err() polls within one round.
-const cancelCheckProbes = 4096
+// cancelCheckRows is about how many rows the sampler scans between
+// ctx.Err() polls within one round. Every candidate evaluation, an exact
+// probe or a lower bound, is charged as a scan of the whole population:
+// a first-round probe is one, and later probes and bounds cost less, so
+// the sampler polls at least this often.
+const cancelCheckRows = 1 << 20
 
 // GreedyContext is Greedy, cancellable: it polls ctx once per pick and
-// every cancelCheckProbes candidate evaluations, and returns ctx.Err()
-// (with no sample) once ctx is done.
+// every cancelCheckRows rows of candidate evaluations, and returns
+// ctx.Err() (with no sample) once ctx is done.
 func GreedyContext(ctx context.Context, f loss.Func, raw dataset.View, theta float64, opts GreedyOptions) ([]int32, error) {
 	if theta < 0 {
 		return nil, fmt.Errorf("sampling: negative loss threshold %v", theta)
@@ -106,7 +109,7 @@ type greedyRun struct {
 	inSample []bool
 	theta    float64
 	picked   []int32 // table row ids
-	probes   int     // LossWith calls since the run began
+	rows     int     // rows charged since the last poll
 }
 
 // commit adds tuple i to the sample and returns ctx's error: the poll
@@ -118,15 +121,41 @@ func (s *greedyRun) commit(i int) error {
 	return s.ctx.Err()
 }
 
-// lossWith is ev.LossWith, polling ctx every cancelCheckProbes calls.
+// charge counts k candidate evaluations, each a scan of the population,
+// and polls ctx once cancelCheckRows rows have been charged since the
+// last poll.
+func (s *greedyRun) charge(k int) error {
+	s.rows += k * len(s.inSample)
+	if s.rows < cancelCheckRows {
+		return nil
+	}
+	s.rows = 0
+	return s.ctx.Err()
+}
+
+// lossWith is ev.LossWith, charged one scan.
 func (s *greedyRun) lossWith(i int) (float64, error) {
-	s.probes++
-	if s.probes%cancelCheckProbes == 0 {
-		if err := s.ctx.Err(); err != nil {
-			return 0, err
-		}
+	if err := s.charge(1); err != nil {
+		return 0, err
 	}
 	return s.ev.LossWith(i), nil
+}
+
+// bounds is lb.LossWithBounds over batch, in chunks of cancelCheckRows
+// rows' worth of candidates with a charge, and so a poll, before each.
+// It reports false when a chunk is not bounded.
+func (s *greedyRun) bounds(lb loss.LowerBounder, batch []int, lo []float64) (bool, error) {
+	chunk := max(1, cancelCheckRows/len(s.inSample))
+	for a := 0; a < len(batch); a += chunk {
+		b := min(a+chunk, len(batch))
+		if err := s.charge(b - a); err != nil {
+			return false, err
+		}
+		if !lb.LossWithBounds(batch[a:b], lo[a:b]) {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // naive is the paper's Algorithm 1 verbatim: every remaining tuple is
@@ -382,7 +411,11 @@ func (s *greedyRun) lazy(opts GreedyOptions) error {
 func (s *greedyRun) bestOf(batch []int, bound bool) (int, error) {
 	if lb, ok := s.ev.(loss.LowerBounder); ok && bound && len(batch) > 1 {
 		lo := make([]float64, len(batch))
-		if lb.LossWithBounds(batch, lo) {
+		bounded, err := s.bounds(lb, batch, lo)
+		if err != nil {
+			return -1, err
+		}
+		if bounded {
 			return s.branchAndBound(batch, lo)
 		}
 	}

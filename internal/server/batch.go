@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -28,7 +27,7 @@ import (
 //
 // results[i] answers queries[i]; results[i].payload indexes payloads;
 // shard/generation stamp the answering shard so a client can correlate
-// cells with the generation vector reported by GET /cache. The body is
+// cells with the generation vector reported by GET /v1/cache. The body is
 // a pure function of the per-result identities — each names one
 // physical sample within the cube's epoch, and it deliberately carries
 // no cube-wide version — so its ETag (the identity-list hash) stays
@@ -68,8 +67,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 
 	var hash uint64
 	hash, qb.ident = viewportHash(qb.ident, results)
-	ident := "b" + strconv.FormatUint(hash, 16)
-	etag := etagFor(cube, ident)
+	etag := etagFor(cube, "b"+strconv.FormatUint(hash, 16))
 	h := w.Header()
 	h.Set("ETag", etag)
 	h.Set("Vary", "Accept-Encoding")
@@ -78,51 +76,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Dedup: one payload per distinct physical sample, in
-	// first-appearance order. A sample's wire cell is its identity: the
-	// global sample, or a representative shared by cells of several
-	// shards, is one cell however many shards lead to it, so it ships
-	// once per body.
-	resultIdx := make([]int, len(results))
-	payloadIdx := make(map[*wire.Cell]int, 16)
-	var distinct []*tabula.QueryResult
-	for i, res := range results {
-		j, ok := payloadIdx[res.Wire]
-		if !ok {
-			j = len(distinct)
-			payloadIdx[res.Wire] = j
-			distinct = append(distinct, res)
-		}
-		resultIdx[i] = j
-	}
-
-	// Assembled gzip bodies are cached per identity-list hash:
-	// dashboards across users repeat pan positions, so a hot viewport is
-	// stitched once — and stays stitched across appends that miss its
-	// shards — and a cached one is served without looking at a sample.
-	// A body too small to compress is not worth an entry; it falls
-	// through and is laid out again, which at that size costs nothing.
-	if s.gzip && acceptsGzip(r) {
-		body, err := s.cache.Get(viewportKey(cube, ident), func() ([]byte, error) {
-			parts, err := s.viewportParts(r.Context(), cube, results, resultIdx, distinct)
-			if err != nil {
-				return nil, err
-			}
-			if wire.RawLen(parts) < gzipMinBytes {
-				return nil, errSmallBody
-			}
-			return wire.AppendGzip(make([]byte, 0, wire.GzipLen(parts)), parts), nil
-		})
-		if err == nil {
-			s.writeEncoded(w, r, body, true)
-			return
-		}
-		if !errors.Is(err, errSmallBody) {
-			s.writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
-	parts, err := s.viewportParts(r.Context(), cube, results, resultIdx, distinct)
+	parts, err := s.viewportParts(r.Context(), cube, qb, results)
 	if err != nil {
 		s.writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -130,24 +84,35 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeParts(w, r, parts)
 }
 
-// errSmallBody keeps a viewport below gzipMinBytes out of the cache; it
-// is served inflated instead.
-var errSmallBody = errors.New("server: viewport body below the gzip threshold")
-
-// viewportParts lays a viewport body out as segments: the envelope —
-// the per-result list, which only this request can know, compressed
-// here — then each distinct payload's resident bytes, comma-separated,
-// then the closing glue. First touches fill their samples' cells one
-// after another, with a ctx poll per payload.
-func (s *Server) viewportParts(ctx context.Context, cube string, results []*tabula.QueryResult, resultIdx []int, distinct []*tabula.QueryResult) ([]*wire.Segment, error) {
+// viewportParts lays a viewport body out as segments in qb's scratch:
+// the envelope — the per-result list, which only this request can know,
+// framed as stored blocks so no compressor runs — then each distinct
+// payload's resident bytes, comma-separated, then the closing glue.
+// Payloads are deduplicated per physical sample, in first-appearance
+// order: a sample's wire cell is its identity, so the global sample, or
+// a representative shared by cells of several shards, is one cell
+// however many shards lead to it and ships once per body. First touches
+// fill their samples' cells one after another, with a ctx poll per
+// payload. The parts alias qb until it is put back.
+func (s *Server) viewportParts(ctx context.Context, cube string, qb *queryBody, results []*tabula.QueryResult) ([]*wire.Segment, error) {
+	if qb.payloadIdx == nil {
+		qb.payloadIdx = make(map[*wire.Cell]int, 16)
+	}
+	distinct := qb.distinct[:0]
 	bp := getBuf()
 	b := append(*bp, `{"results":[`...)
 	for i, res := range results {
+		j, ok := qb.payloadIdx[res.Wire]
+		if !ok {
+			j = len(distinct)
+			qb.payloadIdx[res.Wire] = j
+			distinct = append(distinct, res)
+		}
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, `{"payload":`...)
-		b = strconv.AppendInt(b, int64(resultIdx[i]), 10)
+		b = strconv.AppendInt(b, int64(j), 10)
 		b = append(b, `,"shard":`...)
 		b = strconv.AppendInt(b, int64(res.Shard), 10)
 		b = append(b, `,"generation":`...)
@@ -159,14 +124,12 @@ func (s *Server) viewportParts(ctx context.Context, cube string, results []*tabu
 		}
 	}
 	b = append(b, `],"payloads":[`...)
-	envelope, err := wire.Compress(b)
+	qb.envelope = wire.Store(qb.envelope.Deflate[:0], b)
 	*bp = b[:0]
 	putBuf(bp)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]*wire.Segment, 0, 2*len(distinct)+1)
-	parts = append(parts, envelope)
+	qb.distinct = distinct
+
+	parts := append(qb.parts[:0], &qb.envelope)
 	for j, res := range distinct {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -180,5 +143,6 @@ func (s *Server) viewportParts(ctx context.Context, cube string, results []*tabu
 		}
 		parts = append(parts, payload)
 	}
-	return append(parts, segBatchTail), nil
+	qb.parts = append(parts, segBatchTail)
+	return qb.parts, nil
 }

@@ -10,14 +10,13 @@ import (
 	"testing"
 )
 
-// Concurrent batch viewports during appends, with the response cache
-// disabled so EVERY request assembles its body — first touches of the
-// samples each append rebuilds included — against snapshots that are
-// being republished underneath it. Run under -race via `make check`;
+// Concurrent batch viewports during appends: EVERY request assembles
+// its body — first touches of the samples each append rebuilds included
+// — against snapshots that are being republished underneath it. Run under -race via `make check`;
 // each response must still be a complete, well-formed viewport whose
 // payload references are in range.
 func TestConcurrentBatchAssemblyDuringAppends(t *testing.T) {
-	_, ts, _ := newCubeServer(t, WithCacheBytes(0))
+	_, ts, _ := newCubeServer(t)
 
 	payments := []string{"cash", "credit", "dispute", "no charge", "unknown"}
 	vendors := []string{"CMT", "VTS", "DDS"}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
+	"runtime"
 	"testing"
 
 	"github.com/tabula-db/tabula"
@@ -100,20 +103,18 @@ func BenchmarkServeQueryIdentity(b *testing.B) {
 	serveBench(b, benchCubeServer(b), "/v1/query", marshalQueryBodies(b), "identity")
 }
 
-// BenchmarkServeQueryBatch: a 100-cell viewport per request, answered
-// from the assembled-body cache; the Stitch variant disables the cache,
-// so every request compresses the envelope and stitches the member. The
-// gzip200 variant stitches a dashboard's 64-cell viewport over five
+// BenchmarkServeQueryBatch: a 100-cell viewport per request, its member
+// stitched from the envelope's stored blocks and the resident payloads.
+// The gzip200 variant stitches a dashboard's 64-cell viewport over five
 // cubed attributes — cells in every shard, most of them answered by the
 // global sample — per request, and reports the body it ships. The
 // revalidate variant is the same viewport's warm pan: sent with the
 // ETag of its last answer and answered 304 — decode, resolve, hash, no
 // body.
 func BenchmarkServeQueryBatch(b *testing.B) {
-	b.Run("cached", func(b *testing.B) { benchBatch(b, benchCubeServer(b)) })
-	b.Run("stitch", func(b *testing.B) { benchBatch(b, benchCubeServer(b, WithCacheBytes(0))) })
+	b.Run("stitch", func(b *testing.B) { benchBatch(b, benchCubeServer(b)) })
 	b.Run("gzip200", func(b *testing.B) {
-		s, body := viewportServer(b, WithCacheBytes(0))
+		s, body := viewportServer(b)
 		var batch struct{ Queries []map[string]string }
 		if err := json.Unmarshal(body, &batch); err != nil {
 			b.Fatal(err)
@@ -151,7 +152,7 @@ func BenchmarkServeQueryBatch(b *testing.B) {
 // viewportServer serves a cube over five cubed attributes and returns
 // it with a 64-cell batch body over that cube, one fully constrained
 // cell per input row.
-func viewportServer(tb testing.TB, opts ...Option) (*Server, []byte) {
+func viewportServer(tb testing.TB) (*Server, []byte) {
 	tb.Helper()
 	db := tabula.Open()
 	tbl := tabula.GenerateTaxi(5000, 77)
@@ -175,7 +176,7 @@ func viewportServer(tb testing.TB, opts ...Option) (*Server, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return New(db, opts...), body
+	return New(db), body
 }
 
 // revalidation replays one request carrying If-None-Match with the ETag
@@ -298,5 +299,68 @@ func TestRevalidationAllocs(t *testing.T) {
 		if allocs > tc.ceiling {
 			t.Errorf("%s 304: %v allocs, ceiling %v", tc.path, allocs, tc.ceiling)
 		}
+	}
+}
+
+// A cold viewport — a 200 that no validator answers — allocates less
+// than the gzip body it ships: the member is stitched into a pooled
+// buffer from the envelope's stored blocks and the samples' resident
+// bytes, and nothing body-sized is made per request. The requests are
+// 100 orderings of one 64-cell viewport, each its own identity list and
+// ETag, served after a few others have filled the samples' cells and
+// the pools.
+func TestColdViewportAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	s, body := viewportServer(t)
+	var batch struct {
+		Cube    string              `json:"cube"`
+		Queries []map[string]string `json:"queries"`
+	}
+	if err := json.Unmarshal(body, &batch); err != nil {
+		t.Fatal(err)
+	}
+	const warm, cold = 3, 100
+	rng := rand.New(rand.NewSource(1))
+	var serves []*revalidation
+	for range warm + cold {
+		rng.Shuffle(len(batch.Queries), func(i, j int) { batch.Queries[i], batch.Queries[j] = batch.Queries[j], batch.Queries[i] })
+		raw, err := json.Marshal(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rv := &revalidation{s: s, raw: raw, body: new(reusableBody), w: &nullResponseWriter{h: make(http.Header)}}
+		if rv.req, err = http.NewRequest("POST", "/v1/query/batch", nil); err != nil {
+			t.Fatal(err)
+		}
+		rv.req.Body, rv.req.ContentLength = rv.body, int64(len(raw))
+		rv.req.Header.Set("Accept-Encoding", "gzip")
+		serves = append(serves, rv)
+	}
+	for _, rv := range serves[:warm] {
+		if status := rv.serve(); status != http.StatusOK {
+			t.Fatalf("warm-up: status %d", status)
+		}
+	}
+	etags := make(map[string]bool)
+	minBody := math.MaxInt
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, rv := range serves[warm:] {
+		if status := rv.serve(); status != http.StatusOK || rv.w.h.Get("Content-Encoding") != "gzip" {
+			t.Fatalf("status %d, Content-Encoding %q, want a gzip 200", status, rv.w.h.Get("Content-Encoding"))
+		}
+		etags[rv.w.h.Get("ETag")] = true
+		minBody = min(minBody, rv.w.n)
+	}
+	runtime.ReadMemStats(&after)
+	if len(etags) != cold {
+		t.Fatalf("fixture: %d distinct ETags over %d orderings, want every request cold", len(etags), cold)
+	}
+	perRequest := (after.TotalAlloc - before.TotalAlloc) / cold
+	t.Logf("%d bytes allocated per cold viewport; the smallest body is %d bytes", perRequest, minBody)
+	if perRequest >= uint64(minBody) {
+		t.Errorf("a cold viewport allocates %d bytes, not less than its %d-byte body", perRequest, minBody)
 	}
 }

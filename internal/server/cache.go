@@ -15,13 +15,11 @@ import (
 // forever, so the identity of a response is
 // "e{epoch}.s{shard}.g{generation}.{class}" under the cube's name. It is
 // the response's ETag, and the ordered list of a viewport's identities
-// hashes to the viewport's ETag and to the key its assembled body is
-// cached under. An Append bumps ONLY the generations of the shards it
-// touched, so responses served from untouched shards keep their
-// identities — their ETags keep revalidating to 304 and their cached
-// viewports stay hot — while touched shards answer under fresh
-// identities and the stale viewports age out of the LRU: invalidation
-// by snapshot swap, no bookkeeping.
+// hashes to the viewport's ETag. An Append bumps ONLY the generations of
+// the shards it touched, so responses served from untouched shards keep
+// their identities — their ETags keep revalidating to 304 — while
+// touched shards answer under fresh identities: invalidation by
+// snapshot swap, no bookkeeping.
 //
 // The epoch (hex) names the cube instance. Every Build or Load draws a
 // new one and starts its shards at generation 1 again, so without it a
@@ -72,12 +70,6 @@ func appendShardIdentity(dst []byte, res *tabula.QueryResult) []byte {
 	default:
 		return append(dst, ".e"...)
 	}
-}
-
-// viewportKey is the response-cache key of a viewport's assembled gzip
-// body, the cache's only kind of entry.
-func viewportKey(cube, ident string) string {
-	return "V|" + cube + "|" + ident
 }
 
 // etagFor builds the strong ETag of a response:
@@ -145,11 +137,10 @@ const gzipMinBytes = 512
 // function of the identities: within an epoch each names one physical
 // sample, so the payload indexes (one per distinct sample),
 // shard/generation stamps, from_global flags and payload bytes all
-// derive from them. The hash is therefore both the batch cache key and
-// its ETag discriminator — and because identities are per-shard, a
-// viewport whose shards an append did not touch keeps its hash, its
-// cached body, and its 304s. Each part is laid out in scratch, which is
-// returned for reuse.
+// derive from them. The hash is therefore the batch's ETag
+// discriminator — and because identities are per-shard, a viewport whose
+// shards an append did not touch keeps its hash and its 304s. Each part
+// is laid out in scratch, which is returned for reuse.
 func viewportHash(scratch []byte, results []*tabula.QueryResult) (uint64, []byte) {
 	h := uint64(fnvOffset64)
 	if len(results) > 0 {

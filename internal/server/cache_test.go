@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -364,43 +365,65 @@ func TestConcurrentFirstTouchFillsOnce(t *testing.T) {
 	}
 }
 
-// The response cache holds assembled gzip viewports and nothing else:
-// single-cell queries never touch it.
+// GET /v1/cache reports each cube's version and generation vector, the
+// invalidation frontier, and nothing else: no body is cached, so there
+// are no cache counters. An append moves the version and the vector.
 func TestCacheStatsEndpoint(t *testing.T) {
-	_, ts, _ := newCubeServer(t)
-	gz := map[string]string{"Accept-Encoding": "gzip"}
-	viewport := map[string]any{"cube": "c", "queries": []map[string]string{{"payment_type": "cash"}, {"payment_type": "dispute"}}}
-	doQuery(t, ts.URL+"/query", map[string]any{"cube": "c", "where": map[string]string{"payment_type": "cash"}}, gz)
-	doQuery(t, ts.URL+"/query/batch", viewport, gz)
-	doQuery(t, ts.URL+"/query/batch", viewport, gz)
-	doQuery(t, ts.URL+"/query/batch", viewport, nil) // identity: assembled, not cached
-	resp, err := http.Get(ts.URL + "/cache")
-	if err != nil {
-		t.Fatal(err)
+	_, ts, cube := newCubeServer(t)
+	check := func(when string) {
+		t.Helper()
+		resp, raw := do(t, "GET", ts.URL+"/v1/cache", nil, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", when, resp.StatusCode)
+		}
+		var out map[string]map[string]struct {
+			Version     uint64   `json:"version"`
+			Shards      int      `json:"shards"`
+			Generations []uint64 `json:"generations"`
+		}
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatalf("%s: %v in %s", when, err, raw)
+		}
+		c, ok := out["cubes"]["c"]
+		if len(out) != 1 || len(out["cubes"]) != 1 || !ok {
+			t.Fatalf("%s: %s, want the cubes section alone, with cube c", when, raw)
+		}
+		if c.Version != cube.Generation() || c.Shards != cube.NumShards() || !slices.Equal(c.Generations, cube.Generations()) {
+			t.Fatalf("%s: reported %+v, the cube is at version %d over %d shards with generations %v",
+				when, c, cube.Generation(), cube.NumShards(), cube.Generations())
+		}
 	}
-	defer resp.Body.Close()
-	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+	doQuery(t, ts.URL+"/v1/query/batch", map[string]any{"cube": "c", "queries": viewportSamplesTwice}, acceptGzip)
+	check("after a viewport")
+	before := cube.Generations()
+	resp, raw := doQuery(t, ts.URL+"/v1/append", map[string]any{"cube": "c", "rows": [][]string{
+		{"CMT", "Mon", "1", "cash", "standard", "N", "Mon", "12.5", "0", "2.3", "-73.98 40.75"},
+	}}, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("append: %d %s", resp.StatusCode, raw)
 	}
-	if out["enabled"] != true || out["entries"].(float64) != 1 || out["misses"].(float64) != 1 || out["hits"].(float64) != 1 {
-		t.Fatalf("cache stats: %v", out)
+	if cube.Generation() != 2 || slices.Equal(cube.Generations(), before) {
+		t.Fatalf("fixture: the append left version %d and generations %v", cube.Generation(), cube.Generations())
 	}
+	check("after an append")
 }
 
-// With caching disabled the server still serves correct, conditional,
-// compressed responses — it just stitches every viewport per request.
+// WithCacheBytes has no effect: with a budget of 0 and with the old
+// default, every body, encoding and ETag is the same, gzip or not.
 func TestCacheDisabled(t *testing.T) {
-	_, ts, _ := newCubeServer(t, WithCacheBytes(0))
-	q := map[string]any{"cube": "c", "where": map[string]string{"payment_type": "cash"}}
-	resp, body := doQuery(t, ts.URL+"/query", q, nil)
-	if resp.StatusCode != http.StatusOK || len(body) == 0 {
-		t.Fatalf("disabled-cache query: %d", resp.StatusCode)
+	db := tabula.Open()
+	db.RegisterCube("c", buildTaxiCube(t, 31))
+	var got [2][]fetched
+	for i, budget := range []int64{0, DefaultCacheBytes} {
+		ts := httptest.NewServer(New(db, WithCacheBytes(budget)))
+		got[i] = append(fetchAll(t, ts.URL), fetchAll(t, ts.URL)...)
+		ts.Close()
 	}
-	etag := resp.Header.Get("ETag")
-	resp, _ = doQuery(t, ts.URL+"/query", q, map[string]string{"If-None-Match": etag})
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("disabled-cache revalidation: %d", resp.StatusCode)
+	for i := range got[0] {
+		a, b := got[0][i], got[1][i]
+		if !bytes.Equal(a.body, b.body) || a.etag != b.etag || a.encoding != b.encoding {
+			t.Fatalf("response %d: budget 0 served %s %q, the default budget %s %q", i, a.etag, a.encoding, b.etag, b.encoding)
+		}
 	}
 }
 

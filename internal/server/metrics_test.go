@@ -101,8 +101,6 @@ func TestMetricsExposition(t *testing.T) {
 		"tabula_http_request_duration_seconds",
 		"tabula_http_response_bytes_total",
 		"tabula_db_queries_total",
-		"tabula_respcache_hits_total",
-		"tabula_respcache_misses_total",
 		"tabula_append_total",
 		"tabula_append_duration_seconds",
 		"tabula_cube_version",
@@ -240,7 +238,6 @@ func TestWireMetrics(t *testing.T) {
 		`tabula_wire_fill_seconds_count`:                           distinct,
 		`tabula_wire_fill_seconds_bucket{le="+Inf"}`:               distinct,
 		`tabula_wire_cells{cube="c"}`:                              distinct,
-		`tabula_respcache_misses_total`:                            0, // single queries and identity viewports bypass the cache
 		`tabula_http_requests_total{code="2xx",route="/v1/query"}`: float64(2 * len(queries)),
 	} {
 		if got := series[name]; got != want {

@@ -12,7 +12,7 @@
 //	POST /v1/append       {"cube": "c", "rows": [[...], …]}   → incremental ingest
 //	GET  /v1/cubes                                            → registered cubes
 //	GET  /v1/stats?cube=c                                     → initialization stats
-//	GET  /v1/cache                                            → response-cache stats
+//	GET  /v1/cache                                            → each cube's version and generation vector
 //	GET  /v1/metrics                                          → Prometheus text exposition (404 when disabled)
 //	GET  /healthz                                             → liveness (unversioned, never deprecated)
 //	GET  /                                                    → built-in dashboard demo page
@@ -24,9 +24,9 @@
 // and /v1/append bodies are bounded too (maxExecBody, maxAppendBody).
 //
 // Observability: with WithMetrics, every route records request counts
-// by status class, a latency histogram and response bytes; the response
-// cache and each cube export their counters through the same registry
-// (see internal/obs). Each request carries an ID — X-Request-Id or
+// by status class, a latency histogram and response bytes; first touches
+// of samples and each cube export their counters through the same
+// registry (see internal/obs). Each request carries an ID — X-Request-Id or
 // generated — echoed in the response and threaded through the request
 // context into error logs.
 //
@@ -42,9 +42,11 @@
 // or Load; an Append bumps only the generations of the shards it
 // touched, so ETags of untouched shards survive it, and a sample that
 // survives in a touched shard answers under a new ETag with the bytes
-// it already had. A viewport body carries each physical sample once.
-// The one cache left is a byte-budget LRU of assembled gzip viewport
-// bodies, keyed by the viewport's identity list.
+// it already had. A viewport body carries each physical sample once,
+// behind a per-request envelope framed as stored deflate blocks, so no
+// compressor runs at request time and no assembled body is kept: every
+// 200 is stitched anew into a pooled buffer, and a repeated viewport is
+// answered by its ETag.
 package server
 
 import (
@@ -54,18 +56,19 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
 	"github.com/tabula-db/tabula"
 	"github.com/tabula-db/tabula/internal/dataset"
 	"github.com/tabula-db/tabula/internal/obs"
-	"github.com/tabula-db/tabula/internal/respcache"
 	"github.com/tabula-db/tabula/internal/wire"
 )
 
-// DefaultCacheBytes is the default byte budget of the response cache,
-// which holds assembled gzip viewport bodies.
+// DefaultCacheBytes was the byte budget of the assembled-viewport cache,
+// which no longer exists. It has no effect, and is kept only until the
+// benchmark module stops passing it to WithCacheBytes.
 const DefaultCacheBytes = 64 << 20
 
 // Server wraps a tabula.DB with HTTP handlers. Every handler passes the
@@ -75,7 +78,6 @@ const DefaultCacheBytes = 64 << 20
 type Server struct {
 	db      *tabula.DB
 	mux     *http.ServeMux
-	cache   *respcache.Cache
 	gzip    bool
 	metrics *obs.Registry
 	// wireFill times first touches of samples (tabula_wire_fill_seconds):
@@ -89,11 +91,11 @@ type Server struct {
 // functional-options idiom; zero options is a working default.
 type Option func(*Server)
 
-// WithCacheBytes sets the response cache's byte budget. A budget <= 0
-// disables it: every viewport body is stitched anew from the samples'
-// resident bytes.
-func WithCacheBytes(n int64) Option {
-	return func(s *Server) { s.cache = respcache.New(n) }
+// WithCacheBytes has no effect: every viewport body is stitched from the
+// samples' resident bytes, and no assembled body is cached. It is kept
+// only until the benchmark module stops passing it.
+func WithCacheBytes(int64) Option {
+	return func(*Server) {}
 }
 
 // WithGzip enables or disables gzip response variants (default on).
@@ -126,16 +128,14 @@ func WithLogger(logf func(format string, args ...any)) Option {
 // New builds a Server over the DB.
 func New(db *tabula.DB, opts ...Option) *Server {
 	s := &Server{
-		db:    db,
-		mux:   http.NewServeMux(),
-		cache: respcache.New(DefaultCacheBytes),
-		gzip:  true,
-		logf:  log.Printf,
+		db:   db,
+		mux:  http.NewServeMux(),
+		gzip: true,
+		logf: log.Printf,
 	}
 	for _, o := range opts {
 		o(s)
 	}
-	s.cache.RegisterMetrics(s.metrics)
 	s.wireFill = s.metrics.Histogram("tabula_wire_fill_seconds",
 		"Time to encode and compress a sample's wire bytes on its first touch.", obs.LatencyBuckets)
 
@@ -154,7 +154,7 @@ func New(db *tabula.DB, opts ...Option) *Server {
 		{"POST /v1/append", "POST /append", s.handleAppend},
 		{"GET /v1/cubes", "GET /cubes", s.handleCubes},
 		{"GET /v1/stats", "GET /stats", s.handleStats},
-		{"GET /v1/cache", "GET /cache", s.handleCacheStats},
+		{"GET /v1/cache", "GET /cache", s.handleGenerations},
 		{"GET /v1/metrics", "GET /metrics", s.handleMetrics},
 	}
 	for _, rt := range routes {
@@ -301,36 +301,32 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// writeEncoded writes a 200 whose body is already in its wire encoding.
-func (s *Server) writeEncoded(w http.ResponseWriter, r *http.Request, body []byte, gzipped bool) {
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	if gzipped {
-		h.Set("Content-Encoding", "gzip")
-	}
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	if n, err := w.Write(body); err != nil {
-		s.rlogf(r.Context(), "server: response write failed after %d/%d bytes: %v", n, len(body), err)
-	}
-}
-
 // writeParts serves a body held as segments: stitched into one gzip
 // member when the client accepts gzip and the body is worth it, inflated
 // otherwise — the same resident bytes either way, through a pooled
-// buffer and one Write.
+// buffer grown once to the body's exact length, and one Write.
 func (s *Server) writeParts(w http.ResponseWriter, r *http.Request, parts []*wire.Segment) {
-	gzipped := s.gzip && wire.RawLen(parts) >= gzipMinBytes && acceptsGzip(r)
+	rawLen := wire.RawLen(parts)
+	gzipped := s.gzip && rawLen >= gzipMinBytes && acceptsGzip(r)
 	bp := getBuf()
 	var body []byte
 	var err error
 	if gzipped {
-		body = wire.AppendGzip(*bp, parts)
+		body = wire.AppendGzip(slices.Grow(*bp, wire.GzipLen(parts)), parts)
 	} else {
-		body, err = wire.AppendIdentity(*bp, parts)
+		body, err = wire.AppendIdentity(slices.Grow(*bp, rawLen), parts)
 	}
 	if err == nil {
-		s.writeEncoded(w, r, body, gzipped)
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		if gzipped {
+			h.Set("Content-Encoding", "gzip")
+		}
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		if n, werr := w.Write(body); werr != nil {
+			s.rlogf(r.Context(), "server: response write failed after %d/%d bytes: %v", n, len(body), werr)
+		}
 	} else {
 		s.writeErr(w, http.StatusInternalServerError, err)
 	}
@@ -385,12 +381,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.writeParts(w, r, []*wire.Segment{segQueryPrefix, payload, segFromGlobal[fromGlobal]})
 }
 
-// handleCacheStats reports the response cache's counters plus each
-// cube's generation vector — the invalidation frontier: a cached entry
-// is still servable exactly when its shard's generation matches the
-// vector.
-func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
-	st := s.cache.Stats()
+// handleGenerations reports each cube's version and generation vector —
+// the invalidation frontier: an ETag a client holds still revalidates
+// exactly when its shard's generation matches the vector.
+func (s *Server) handleGenerations(w http.ResponseWriter, r *http.Request) {
 	cubes := make(map[string]any)
 	for _, name := range s.db.Cubes() {
 		if cube, ok := s.db.CubeByName(name); ok {
@@ -401,16 +395,7 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"enabled":   s.cache != nil,
-		"entries":   st.Entries,
-		"bytes":     st.Bytes,
-		"hits":      st.Hits,
-		"misses":    st.Misses,
-		"shared":    st.Shared,
-		"evictions": st.Evictions,
-		"cubes":     cubes,
-	})
+	s.writeJSON(w, http.StatusOK, map[string]any{"cubes": cubes})
 }
 
 type appendRequest struct {

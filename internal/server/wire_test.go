@@ -127,50 +127,48 @@ func mustQuery(t *testing.T, cube *tabula.Cube, where map[string]string) *tabula
 // RFC 1952 member that inflates to exactly what the identity encoder
 // writes, and is those bytes themselves for a client without gzip.
 func TestGzipBodiesAreSingleMembersOfIdentityBytes(t *testing.T) {
-	for _, cacheBytes := range []int64{DefaultCacheBytes, 0} {
-		_, ts, cube := newCubeServer(t, WithCacheBytes(cacheBytes))
-		a, b := mustQuery(t, cube, cellSharedA), mustQuery(t, cube, cellSharedB)
-		if a.Sample != b.Sample || a.Shard == b.Shard || a.Wire != b.Wire {
-			t.Fatalf("fixture: %v and %v should share one sample across two shards", cellSharedA, cellSharedB)
-		}
-		if res := mustQuery(t, cube, cellIceberg); res.FromGlobal || res.SampleID < 0 {
-			t.Fatalf("fixture: %v should be an iceberg cell", cellIceberg)
-		}
-		if res := mustQuery(t, cube, cellEmpty); res.Shard != -1 || res.Sample.NumRows() != 0 {
-			t.Fatalf("fixture: %v should address an empty population", cellEmpty)
-		}
+	_, ts, cube := newCubeServer(t)
+	a, b := mustQuery(t, cube, cellSharedA), mustQuery(t, cube, cellSharedB)
+	if a.Sample != b.Sample || a.Shard == b.Shard || a.Wire != b.Wire {
+		t.Fatalf("fixture: %v and %v should share one sample across two shards", cellSharedA, cellSharedB)
+	}
+	if res := mustQuery(t, cube, cellIceberg); res.FromGlobal || res.SampleID < 0 {
+		t.Fatalf("fixture: %v should be an iceberg cell", cellIceberg)
+	}
+	if res := mustQuery(t, cube, cellEmpty); res.Shard != -1 || res.Sample.NumRows() != 0 {
+		t.Fatalf("fixture: %v should address an empty population", cellEmpty)
+	}
 
-		for _, where := range []map[string]string{cellIceberg, cellGlobal, cellEmpty, cellSharedA, cellSharedB} {
-			want := wantQueryBody(mustQuery(t, cube, where))
-			// Twice: the first touch fills the sample's cell, the second
-			// finds it filled.
-			for i := 0; i < 2; i++ {
-				checkBothEncodings(t, ts.URL+"/v1/query", map[string]any{"cube": "c", "where": where}, want)
-			}
+	for _, where := range []map[string]string{cellIceberg, cellGlobal, cellEmpty, cellSharedA, cellSharedB} {
+		want := wantQueryBody(mustQuery(t, cube, where))
+		// Twice: the first touch fills the sample's cell, the second
+		// finds it filled.
+		for i := 0; i < 2; i++ {
+			checkBothEncodings(t, ts.URL+"/v1/query", map[string]any{"cube": "c", "where": where}, want)
 		}
+	}
 
-		for name, queries := range map[string][]map[string]string{
-			"duplicates":       {cellIceberg, cellGlobal, cellIceberg, cellIceberg, cellGlobal},
-			"two shards":       {cellSharedA, cellSharedB, cellSharedA},
-			"global twice":     {cellGlobal, cellGlobalB, cellGlobal},
-			"every kind":       {cellEmpty, cellGlobal, cellIceberg, cellSharedB, cellNeighbour, cellEmpty},
-			"one empty answer": {cellEmpty},
-		} {
-			results, err := cube.QueryBatchByValues(context.Background(), queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := wantBatchBody(results)
-			for i := 0; i < 2; i++ { // assembled, then (with a cache) served assembled
-				if raw := checkBothEncodings(t, ts.URL+"/v1/query/batch", map[string]any{"cube": "c", "queries": queries}, want); raw == nil && name != "one empty answer" {
-					t.Errorf("batch %q was not compressed", name)
-				}
+	for name, queries := range map[string][]map[string]string{
+		"duplicates":       {cellIceberg, cellGlobal, cellIceberg, cellIceberg, cellGlobal},
+		"two shards":       {cellSharedA, cellSharedB, cellSharedA},
+		"global twice":     {cellGlobal, cellGlobalB, cellGlobal},
+		"every kind":       {cellEmpty, cellGlobal, cellIceberg, cellSharedB, cellNeighbour, cellEmpty},
+		"one empty answer": {cellEmpty},
+	} {
+		results, err := cube.QueryBatchByValues(context.Background(), queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := wantBatchBody(results)
+		for i := 0; i < 2; i++ { // twice: each stitched anew
+			if raw := checkBothEncodings(t, ts.URL+"/v1/query/batch", map[string]any{"cube": "c", "queries": queries}, want); raw == nil && name != "one empty answer" {
+				t.Errorf("batch %q was not compressed", name)
 			}
 		}
-		// iceberg, global, empty, the neighbour, and the shared sample once.
-		if st := cube.WireStats(); st.CellsFilled != 5 {
-			t.Errorf("cache budget %d: %d cells filled, want 5", cacheBytes, st.CellsFilled)
-		}
+	}
+	// iceberg, global, empty, the neighbour, and the shared sample once.
+	if st := cube.WireStats(); st.CellsFilled != 5 {
+		t.Errorf("%d cells filled, want 5", st.CellsFilled)
 	}
 }
 
@@ -240,62 +238,59 @@ func TestAppendKeepsSurvivingSampleBytes(t *testing.T) {
 
 // A viewport body carries each physical sample once: the global sample
 // and a persisted one, each reached through two shards, are one payload
-// apiece, and every result points at its own cell's sample — with and
-// without the viewport tier, gzip or not. Results keep their per-shard
-// stamps.
+// apiece, and every result points at its own cell's sample, gzip or
+// not. Results keep their per-shard stamps.
 func TestViewportShipsEachSampleOnce(t *testing.T) {
-	for _, cacheBytes := range []int64{DefaultCacheBytes, 0} {
-		_, ts, cube := newCubeServer(t, WithCacheBytes(cacheBytes))
-		g1, g2 := mustQuery(t, cube, cellGlobal), mustQuery(t, cube, cellGlobalB)
-		if !g1.FromGlobal || !g2.FromGlobal || g1.Shard == g2.Shard {
-			t.Fatalf("fixture: %v and %v should reach the global sample through two shards", cellGlobal, cellGlobalB)
+	_, ts, cube := newCubeServer(t)
+	g1, g2 := mustQuery(t, cube, cellGlobal), mustQuery(t, cube, cellGlobalB)
+	if !g1.FromGlobal || !g2.FromGlobal || g1.Shard == g2.Shard {
+		t.Fatalf("fixture: %v and %v should reach the global sample through two shards", cellGlobal, cellGlobalB)
+	}
+	a, b := mustQuery(t, cube, cellSharedA), mustQuery(t, cube, cellSharedB)
+	if a.FromGlobal || a.Sample != b.Sample || a.Shard == b.Shard {
+		t.Fatalf("fixture: %v and %v should reach one persisted sample through two shards", cellSharedA, cellSharedB)
+	}
+	results, err := cube.QueryBatchByValues(context.Background(), viewportSamplesTwice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := make(map[*tabula.Table]bool)
+	for _, res := range results {
+		samples[res.Sample] = true
+	}
+
+	for _, hdr := range []map[string]string{nil, acceptGzip} {
+		resp, raw := doQuery(t, ts.URL+"/v1/query/batch", map[string]any{"cube": "c", "queries": viewportSamplesTwice}, hdr)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
 		}
-		a, b := mustQuery(t, cube, cellSharedA), mustQuery(t, cube, cellSharedB)
-		if a.FromGlobal || a.Sample != b.Sample || a.Shard == b.Shard {
-			t.Fatalf("fixture: %v and %v should reach one persisted sample through two shards", cellSharedA, cellSharedB)
+		body := raw
+		if resp.Header.Get("Content-Encoding") == "gzip" {
+			body = readMember(t, raw)
 		}
-		results, err := cube.QueryBatchByValues(context.Background(), viewportSamplesTwice)
-		if err != nil {
+		var got struct {
+			Results []struct {
+				Payload    int    `json:"payload"`
+				Shard      int    `json:"shard"`
+				Generation uint64 `json:"generation"`
+				FromGlobal bool   `json:"from_global"`
+			} `json:"results"`
+			Payloads []json.RawMessage `json:"payloads"`
+		}
+		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatal(err)
 		}
-		samples := make(map[*tabula.Table]bool)
-		for _, res := range results {
-			samples[res.Sample] = true
+		if len(got.Payloads) != len(samples) || len(got.Results) != len(results) {
+			t.Fatalf("%v: %d payloads for %d distinct samples, %d results for %d cells",
+				hdr, len(got.Payloads), len(samples), len(got.Results), len(results))
 		}
-
-		for _, hdr := range []map[string]string{nil, acceptGzip} {
-			resp, raw := doQuery(t, ts.URL+"/v1/query/batch", map[string]any{"cube": "c", "queries": viewportSamplesTwice}, hdr)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d", resp.StatusCode)
+		for i, r := range got.Results {
+			res := results[i]
+			if r.Shard != res.Shard || r.Generation != res.Generation || r.FromGlobal != res.FromGlobal {
+				t.Fatalf("result %d stamped %+v, the cell answered shard %d generation %d global %v", i, r, res.Shard, res.Generation, res.FromGlobal)
 			}
-			body := raw
-			if resp.Header.Get("Content-Encoding") == "gzip" {
-				body = readMember(t, raw)
-			}
-			var got struct {
-				Results []struct {
-					Payload    int    `json:"payload"`
-					Shard      int    `json:"shard"`
-					Generation uint64 `json:"generation"`
-					FromGlobal bool   `json:"from_global"`
-				} `json:"results"`
-				Payloads []json.RawMessage `json:"payloads"`
-			}
-			if err := json.Unmarshal(body, &got); err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Payloads) != len(samples) || len(got.Results) != len(results) {
-				t.Fatalf("cache %d, %v: %d payloads for %d distinct samples, %d results for %d cells",
-					cacheBytes, hdr, len(got.Payloads), len(samples), len(got.Results), len(results))
-			}
-			for i, r := range got.Results {
-				res := results[i]
-				if r.Shard != res.Shard || r.Generation != res.Generation || r.FromGlobal != res.FromGlobal {
-					t.Fatalf("result %d stamped %+v, the cell answered shard %d generation %d global %v", i, r, res.Shard, res.Generation, res.FromGlobal)
-				}
-				if !bytes.Equal(got.Payloads[r.Payload], appendTableJSON(nil, res.Sample)) {
-					t.Fatalf("result %d points at payload %d, which is not its own sample", i, r.Payload)
-				}
+			if !bytes.Equal(got.Payloads[r.Payload], appendTableJSON(nil, res.Sample)) {
+				t.Fatalf("result %d points at payload %d, which is not its own sample", i, r.Payload)
 			}
 		}
 	}
@@ -304,8 +299,7 @@ func TestViewportShipsEachSampleOnce(t *testing.T) {
 // Registering another cube under a taken name serves the new cube's
 // bytes at once: its answers are the ones a fresh server gives, under
 // the fresh server's ETags, and no ETag of the replaced cube earns a
-// 304 — single cells and viewports, gzip and identity, with the
-// viewport tier and without.
+// 304 — single cells and viewports, gzip and identity.
 func TestReplacedCubeServesItsOwnBytes(t *testing.T) {
 	var viewport []map[string]string
 	for _, p := range []string{"", "cash", "credit", "dispute", "no charge"} {
@@ -328,46 +322,44 @@ func TestReplacedCubeServesItsOwnBytes(t *testing.T) {
 		{"/v1/query/batch", map[string]any{"cube": "c", "queries": viewport}},
 	}
 	encodings := []string{"gzip", "identity"}
-	for _, cacheBytes := range []int64{DefaultCacheBytes, 0} {
-		s, ts, _ := newCubeServer(t, WithCacheBytes(cacheBytes))
-		type answer struct {
-			etag string
-			body []byte
-		}
-		var old []answer
-		for _, rq := range requests {
-			for _, enc := range encodings {
-				resp, body := doQuery(t, ts.URL+rq.path, rq.body, map[string]string{"Accept-Encoding": enc})
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("%s: status %d", rq.path, resp.StatusCode)
-				}
-				old = append(old, answer{resp.Header.Get("ETag"), body})
+	s, ts, _ := newCubeServer(t)
+	type answer struct {
+		etag string
+		body []byte
+	}
+	var old []answer
+	for _, rq := range requests {
+		for _, enc := range encodings {
+			resp, body := doQuery(t, ts.URL+rq.path, rq.body, map[string]string{"Accept-Encoding": enc})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d", rq.path, resp.StatusCode)
 			}
+			old = append(old, answer{resp.Header.Get("ETag"), body})
 		}
+	}
 
-		replacement := buildTaxiCube(t, 99)
-		s.db.RegisterCube("c", replacement)
-		db := tabula.Open()
-		db.RegisterCube("c", replacement)
-		fresh := httptest.NewServer(New(db, WithCacheBytes(cacheBytes)))
-		t.Cleanup(fresh.Close)
-		k := 0
-		for _, rq := range requests {
-			for _, enc := range encodings {
-				was := old[k]
-				k++
-				resp, body := doQuery(t, ts.URL+rq.path, rq.body, map[string]string{"Accept-Encoding": enc, "If-None-Match": was.etag})
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("cache %d, %s %s: status %d for the replaced cube's ETag %s", cacheBytes, rq.path, enc, resp.StatusCode, was.etag)
-				}
-				if bytes.Equal(body, was.body) {
-					t.Fatalf("cache %d, %s %s: the replaced cube's body was served", cacheBytes, rq.path, enc)
-				}
-				wantResp, want := doQuery(t, fresh.URL+rq.path, rq.body, map[string]string{"Accept-Encoding": enc})
-				if !bytes.Equal(body, want) || resp.Header.Get("ETag") != wantResp.Header.Get("ETag") {
-					t.Fatalf("cache %d, %s %s: the body (ETag %s) is not a fresh server's (ETag %s)",
-						cacheBytes, rq.path, enc, resp.Header.Get("ETag"), wantResp.Header.Get("ETag"))
-				}
+	replacement := buildTaxiCube(t, 99)
+	s.db.RegisterCube("c", replacement)
+	db := tabula.Open()
+	db.RegisterCube("c", replacement)
+	fresh := httptest.NewServer(New(db))
+	t.Cleanup(fresh.Close)
+	k := 0
+	for _, rq := range requests {
+		for _, enc := range encodings {
+			was := old[k]
+			k++
+			resp, body := doQuery(t, ts.URL+rq.path, rq.body, map[string]string{"Accept-Encoding": enc, "If-None-Match": was.etag})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: status %d for the replaced cube's ETag %s", rq.path, enc, resp.StatusCode, was.etag)
+			}
+			if bytes.Equal(body, was.body) {
+				t.Fatalf("%s %s: the replaced cube's body was served", rq.path, enc)
+			}
+			wantResp, want := doQuery(t, fresh.URL+rq.path, rq.body, map[string]string{"Accept-Encoding": enc})
+			if !bytes.Equal(body, want) || resp.Header.Get("ETag") != wantResp.Header.Get("ETag") {
+				t.Fatalf("%s %s: the body (ETag %s) is not a fresh server's (ETag %s)",
+					rq.path, enc, resp.Header.Get("ETag"), wantResp.Header.Get("ETag"))
 			}
 		}
 	}

@@ -1,14 +1,16 @@
 // Package wire holds response bytes in the form they leave the server:
-// each part of a body is compressed once, on its own, into a Segment,
-// and a gzip response is one RFC 1952 member stitched from segments by
-// concatenation — no compressor runs at request time.
+// each part of a body that outlives the request is compressed once, on
+// its own, into a Segment (Compress); a part made for one request is
+// framed as stored blocks (Store); and a gzip response is one RFC 1952
+// member stitched from segments by concatenation — no compressor runs
+// at request time.
 //
 // The stitched member is laid out as
 //
 //	header   10 bytes, constant (mtime 0, OS unknown)
-//	segment* each a run of deflate blocks ending in a sync flush, so it
-//	         is byte-aligned, never final, and references no history
-//	         before its own first byte
+//	segment* each a run of deflate blocks — compressed ones ending in a
+//	         sync flush, or stored ones — so it is byte-aligned, never
+//	         final, and references no history before its own first byte
 //	final    an empty final block
 //	trailer  CRC-32 and length of the inflated body, both folded from
 //	         the per-segment values in O(1) per part (see crc.go)
@@ -32,7 +34,8 @@ import (
 // Segment is one independently compressed part of a response body. It
 // is immutable once built.
 type Segment struct {
-	// Deflate is the part as raw-deflate blocks closed by a sync flush.
+	// Deflate is the part as raw-deflate blocks: compressed ones closed
+	// by a sync flush (Compress), or stored ones (Store).
 	Deflate []byte
 	// CRC and Len are the CRC-32 and length of the inflated part.
 	CRC uint32
@@ -89,6 +92,31 @@ func Compress(raw []byte) (*Segment, error) {
 		Len:     len(raw),
 		op:      crcOp(len(raw)),
 	}, nil
+}
+
+// maxStored is the most bytes one stored deflate block carries.
+const maxStored = 1<<16 - 1
+
+// Store builds the segment of raw as stored deflate blocks, appending
+// them to dst: each block is a 5-byte header (BFINAL 0, BTYPE 00, padded
+// to the byte, then LEN and its complement) and up to 65 535 bytes of raw
+// verbatim, so the segment is byte-aligned, never final and history-free,
+// as a Compress segment is, while no compressor runs. It is how a part
+// that is served once — a viewport's per-request envelope — joins a
+// stitched member. The segment's Deflate aliases dst's array, so a
+// caller can recycle it once the body is written; an empty raw is no
+// blocks at all.
+func Store(dst, raw []byte) Segment {
+	seg := Segment{CRC: crc32.ChecksumIEEE(raw), Len: len(raw), op: crcOp(len(raw))}
+	start := len(dst)
+	for len(raw) > 0 {
+		n := min(len(raw), maxStored)
+		dst = append(dst, 0, byte(n), byte(n>>8), ^byte(n), ^byte(n>>8))
+		dst = append(dst, raw[:n]...)
+		raw = raw[n:]
+	}
+	seg.Deflate = dst[start:]
+	return seg
 }
 
 // gzipHeader is the constant member header: magic, CM=deflate, no

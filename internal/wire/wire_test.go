@@ -109,6 +109,65 @@ func TestStitchedMemberInflatesToItsParts(t *testing.T) {
 	}
 }
 
+// storedLengths are the part lengths FuzzStitchStored draws from: empty,
+// one byte, one full stored block, one byte past it, and several blocks.
+var storedLengths = [...]int{0, 1, 1<<16 - 1, 1 << 16, 200000, 777}
+
+// FuzzStitchStored stitches members that mix stored and compressed
+// segments. Each plan byte is one part: bit 0 picks Store or Compress,
+// the rest a length from storedLengths, and the part's bytes cycle
+// through data. Every member must inflate, through compress/gzip with
+// its CRC and ISIZE checked, to the concatenated parts, and the identity
+// rendering must be the same bytes.
+func FuzzStitchStored(f *testing.F) {
+	all := make([]byte, 0, 2*len(storedLengths))
+	for i := range 2 * len(storedLengths) {
+		all = append(all, byte(i))
+	}
+	f.Add([]byte(`{"payload":0,"shard":3}`), all)
+	f.Add([]byte(nil), []byte{0, 1, 2, 3})
+	f.Add([]byte{0xff}, []byte{6, 7, 8, 9, 8})
+	f.Fuzz(func(t *testing.T, data, plan []byte) {
+		if len(plan) > 8 {
+			plan = plan[:8]
+		}
+		var parts []*Segment
+		var want []byte
+		for k, b := range plan {
+			raw := make([]byte, storedLengths[int(b>>1)%len(storedLengths)])
+			for i := range raw {
+				if len(data) > 0 {
+					raw[i] = data[i%len(data)] + byte(i/len(data)) + byte(k)
+				}
+			}
+			if b&1 == 0 {
+				seg := Store([]byte("prefix"), raw)
+				if blocks := (len(raw) + maxStored - 1) / maxStored; len(seg.Deflate) != len(raw)+5*blocks {
+					t.Fatalf("a stored %d-byte part is %d bytes, want %d", len(raw), len(seg.Deflate), len(raw)+5*blocks)
+				}
+				parts = append(parts, &seg)
+			} else {
+				parts = append(parts, mustCompress(t, raw))
+			}
+			want = append(want, raw...)
+		}
+		member := AppendGzip(nil, parts)
+		if len(member) != GzipLen(parts) {
+			t.Fatalf("member is %d bytes, GzipLen says %d", len(member), GzipLen(parts))
+		}
+		if got := readMember(t, member); !bytes.Equal(got, want) {
+			t.Fatalf("plan %v: member does not inflate to the concatenated parts", plan)
+		}
+		id, err := AppendIdentity(nil, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(id, want) {
+			t.Fatalf("plan %v: identity rendering differs from the parts", plan)
+		}
+	})
+}
+
 // A segment's bytes depend on its input alone, not on what the pooled
 // compressor saw before.
 func TestCompressIsHistoryIndependent(t *testing.T) {

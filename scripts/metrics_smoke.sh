@@ -68,7 +68,7 @@ for family in \
 	tabula_http_requests_total \
 	tabula_http_request_duration_seconds \
 	tabula_db_queries_total \
-	tabula_respcache_hits_total \
+	tabula_wire_fill_seconds \
 	tabula_build_stage_seconds \
 	tabula_samgraph_pairs_total \
 	tabula_samgraph_cover_tests_total \
