@@ -95,7 +95,7 @@ func main() {
 	srv := newHTTPServer(ctx, *addr, server.New(db,
 		server.WithGzip(*gzipOn),
 		server.WithMetrics(registry),
-		server.WithPprof(*pprofOn)))
+		server.WithPprof(*pprofOn)), defaultTimeouts)
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("tabula middleware listening on %s", *addr)
@@ -116,29 +116,35 @@ func main() {
 	}
 }
 
-// Connection timeouts of the listening server. A client must send its
-// request headers within readHeaderTimeout and its whole request within
-// readTimeout (the largest body, a 16 MiB append, takes well under that
-// on any working link), and an idle keep-alive connection is closed
-// after idleTimeout, so slow or abandoned clients cannot pin
-// connections forever. There is no write timeout: a POST /v1/exec that
-// builds a cube can legitimately run for minutes before it answers.
-const (
-	readHeaderTimeout = 10 * time.Second
-	readTimeout       = time.Minute
-	idleTimeout       = 2 * time.Minute
-)
+// timeouts are the listening server's connection timeouts.
+type timeouts struct {
+	readHeader time.Duration // to send a request's headers
+	read       time.Duration // to send a whole request, body included
+	idle       time.Duration // an idle keep-alive connection lives
+}
+
+// defaultTimeouts stop slow or abandoned clients from pinning
+// connections: headers must arrive within 10 s and a whole request
+// within a minute (the largest body, a 16 MiB append, takes well under
+// that on any working link), and an idle keep-alive connection is
+// closed after 2 min. The read deadline covers receiving the request
+// only: net/http clears it once the body has been read to its end (or
+// at once for a request without one), so a handler that runs past it
+// keeps a live context (TestLongRequestOutlivesTimeouts).
+// There is no write timeout: a POST /v1/exec that builds a cube can
+// legitimately run for minutes before it answers.
+var defaultTimeouts = timeouts{readHeader: 10 * time.Second, read: time.Minute, idle: 2 * time.Minute}
 
 // newHTTPServer builds the listening server for handler. Request
 // contexts derive from ctx, so cancelling it when the serve loop exits
 // aborts in-flight scans that exceed the drain window.
-func newHTTPServer(ctx context.Context, addr string, handler http.Handler) *http.Server {
+func newHTTPServer(ctx context.Context, addr string, handler http.Handler, t timeouts) *http.Server {
 	return &http.Server{
 		Addr:              addr,
 		Handler:           handler,
-		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
-		IdleTimeout:       idleTimeout,
+		ReadHeaderTimeout: t.readHeader,
+		ReadTimeout:       t.read,
+		IdleTimeout:       t.idle,
 		BaseContext:       func(net.Listener) context.Context { return ctx },
 	}
 }

@@ -76,7 +76,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	parts, err := s.viewportParts(r.Context(), cube, qb, results)
+	parts, err := s.viewportParts(r.Context(), cube, results)
 	if err != nil {
 		s.writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -84,28 +84,25 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeParts(w, r, parts)
 }
 
-// viewportParts lays a viewport body out as segments in qb's scratch:
-// the envelope — the per-result list, which only this request can know,
-// framed as stored blocks so no compressor runs — then each distinct
-// payload's resident bytes, comma-separated, then the closing glue.
-// Payloads are deduplicated per physical sample, in first-appearance
-// order: a sample's wire cell is its identity, so the global sample, or
-// a representative shared by cells of several shards, is one cell
-// however many shards lead to it and ships once per body. First touches
-// fill their samples' cells one after another, with a ctx poll per
-// payload. The parts alias qb until it is put back.
-func (s *Server) viewportParts(ctx context.Context, cube string, qb *queryBody, results []*tabula.QueryResult) ([]*wire.Segment, error) {
-	if qb.payloadIdx == nil {
-		qb.payloadIdx = make(map[*wire.Cell]int, 16)
-	}
-	distinct := qb.distinct[:0]
+// viewportParts lays a viewport body out as segments: the envelope —
+// the per-result list, which only this request can know, framed as
+// stored blocks so no compressor runs — then each distinct payload's
+// resident bytes, comma-separated, then the closing glue. Payloads are
+// deduplicated per physical sample, in first-appearance order: a
+// sample's wire cell is its identity, so the global sample, or a
+// representative shared by cells of several shards, is one cell however
+// many shards lead to it and ships once per body. First touches fill
+// their samples' cells one after another, with a ctx poll per payload.
+func (s *Server) viewportParts(ctx context.Context, cube string, results []*tabula.QueryResult) ([]*wire.Segment, error) {
+	payloadIdx := make(map[*wire.Cell]int, 16)
+	var distinct []*tabula.QueryResult
 	bp := getBuf()
 	b := append(*bp, `{"results":[`...)
 	for i, res := range results {
-		j, ok := qb.payloadIdx[res.Wire]
+		j, ok := payloadIdx[res.Wire]
 		if !ok {
 			j = len(distinct)
-			qb.payloadIdx[res.Wire] = j
+			payloadIdx[res.Wire] = j
 			distinct = append(distinct, res)
 		}
 		if i > 0 {
@@ -124,12 +121,12 @@ func (s *Server) viewportParts(ctx context.Context, cube string, qb *queryBody, 
 		}
 	}
 	b = append(b, `],"payloads":[`...)
-	qb.envelope = wire.Store(qb.envelope.Deflate[:0], b)
+	envelope := wire.Store(b)
 	*bp = b[:0]
 	putBuf(bp)
-	qb.distinct = distinct
 
-	parts := append(qb.parts[:0], &qb.envelope)
+	parts := make([]*wire.Segment, 0, 2*len(distinct)+1)
+	parts = append(parts, envelope)
 	for j, res := range distinct {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -143,6 +140,5 @@ func (s *Server) viewportParts(ctx context.Context, cube string, qb *queryBody, 
 		}
 		parts = append(parts, payload)
 	}
-	qb.parts = append(parts, segBatchTail)
-	return qb.parts, nil
+	return append(parts, segBatchTail), nil
 }

@@ -9,9 +9,6 @@ import (
 	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
-
-	"github.com/tabula-db/tabula"
-	"github.com/tabula-db/tabula/internal/wire"
 )
 
 // Request decoding for POST /v1/query and /v1/query/batch.
@@ -70,15 +67,6 @@ type queryBody struct {
 	maps  []map[string]string // every map the scratch owns; maps[:used] are in use
 	used  int
 	ident []byte // the handlers' identity scratch
-
-	// The viewport handler's scratch (viewportParts): the dedup map from
-	// wire cell to payload index, the distinct results in payload order,
-	// the body's segments, and the envelope, whose stored blocks are
-	// recycled with the scratch.
-	payloadIdx map[*wire.Cell]int
-	distinct   []*tabula.QueryResult
-	parts      []*wire.Segment
-	envelope   wire.Segment
 }
 
 var bodyPool = sync.Pool{New: func() any { return new(queryBody) }}
@@ -111,17 +99,7 @@ func putQueryBody(qb *queryBody) {
 		slots = nil
 	}
 	clear(slots[:cap(slots)])
-	// No result, sample or segment outlives its request either.
-	clear(qb.payloadIdx)
-	clear(qb.distinct)
-	clear(qb.parts)
-	envelope := qb.envelope.Deflate[:0]
-	if cap(envelope) > maxPooledBuf {
-		envelope = nil
-	}
-	*qb = queryBody{buf: qb.buf[:0], slots: slots, maps: kept, ident: qb.ident[:0],
-		payloadIdx: qb.payloadIdx, distinct: qb.distinct[:0], parts: qb.parts[:0],
-		envelope: wire.Segment{Deflate: envelope}}
+	*qb = queryBody{buf: qb.buf[:0], slots: slots, maps: kept, ident: qb.ident[:0]}
 	bodyPool.Put(qb)
 }
 

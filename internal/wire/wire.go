@@ -97,25 +97,24 @@ func Compress(raw []byte) (*Segment, error) {
 // maxStored is the most bytes one stored deflate block carries.
 const maxStored = 1<<16 - 1
 
-// Store builds the segment of raw as stored deflate blocks, appending
-// them to dst: each block is a 5-byte header (BFINAL 0, BTYPE 00, padded
-// to the byte, then LEN and its complement) and up to 65 535 bytes of raw
-// verbatim, so the segment is byte-aligned, never final and history-free,
-// as a Compress segment is, while no compressor runs. It is how a part
-// that is served once — a viewport's per-request envelope — joins a
-// stitched member. The segment's Deflate aliases dst's array, so a
-// caller can recycle it once the body is written; an empty raw is no
-// blocks at all.
-func Store(dst, raw []byte) Segment {
-	seg := Segment{CRC: crc32.ChecksumIEEE(raw), Len: len(raw), op: crcOp(len(raw))}
-	start := len(dst)
+// Store builds the segment of raw as stored deflate blocks: each block
+// is a 5-byte header (BFINAL 0, BTYPE 00, padded to the byte, then LEN
+// and its complement) and up to 65 535 bytes of raw verbatim, so the
+// segment is byte-aligned, never final and history-free, as a Compress
+// segment is, while no compressor runs. It is how a part that is served
+// once — a viewport's per-request envelope — joins a stitched member.
+// An empty raw is no blocks at all.
+func Store(raw []byte) *Segment {
+	seg := &Segment{CRC: crc32.ChecksumIEEE(raw), Len: len(raw), op: crcOp(len(raw))}
+	blocks := (len(raw) + maxStored - 1) / maxStored
+	dst := make([]byte, 0, len(raw)+5*blocks)
 	for len(raw) > 0 {
 		n := min(len(raw), maxStored)
 		dst = append(dst, 0, byte(n), byte(n>>8), ^byte(n), ^byte(n>>8))
 		dst = append(dst, raw[:n]...)
 		raw = raw[n:]
 	}
-	seg.Deflate = dst[start:]
+	seg.Deflate = dst
 	return seg
 }
 

@@ -141,11 +141,11 @@ func FuzzStitchStored(f *testing.F) {
 				}
 			}
 			if b&1 == 0 {
-				seg := Store([]byte("prefix"), raw)
+				seg := Store(raw)
 				if blocks := (len(raw) + maxStored - 1) / maxStored; len(seg.Deflate) != len(raw)+5*blocks {
 					t.Fatalf("a stored %d-byte part is %d bytes, want %d", len(raw), len(seg.Deflate), len(raw)+5*blocks)
 				}
-				parts = append(parts, &seg)
+				parts = append(parts, seg)
 			} else {
 				parts = append(parts, mustCompress(t, raw))
 			}
